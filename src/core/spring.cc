@@ -1,8 +1,6 @@
 #include "core/spring.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "core/invariants.h"
 #include "util/codec.h"
@@ -10,277 +8,57 @@
 
 namespace springdtw {
 namespace core {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 SpringMatcher::SpringMatcher(std::vector<double> query, SpringOptions options)
-    : query_(std::move(query)), options_(options) {
-  SPRINGDTW_CHECK(!query_.empty()) << "SPRING needs a non-empty query";
-  const size_t rows = query_.size() + 1;  // +1 for the star-padding row.
-  d_.assign(rows, kInf);
-  d_prev_.assign(rows, kInf);
-  s_.assign(rows, 0);
-  s_prev_.assign(rows, 0);
+    : query_(std::move(query)) {
+  const util::Status admitted = ValidateSpringQuery(query_, options);
+  SPRINGDTW_CHECK(admitted.ok()) << admitted.ToString();
+  state_.m = static_cast<int64_t>(query_.size());
+  state_.options = options;
   Reset();
 }
 
 void SpringMatcher::Reset() {
-  std::fill(d_.begin(), d_.end(), kInf);
-  std::fill(d_prev_.begin(), d_prev_.end(), kInf);
-  std::fill(s_.begin(), s_.end(), int64_t{0});
-  std::fill(s_prev_.begin(), s_prev_.end(), int64_t{0});
+  SpringState fresh;
+  fresh.m = state_.m;
+  fresh.options = state_.options;
+  state_ = fresh;
+  const size_t rows = query_.size() + 1;  // +1 for the star-padding row.
+  d_.assign(rows, kSpringInf);
+  d_prev_.assign(rows, kSpringInf);
+  s_.assign(rows, 0);
+  s_prev_.assign(rows, 0);
   // Star-padding row: d(t, 0) = 0 for every t, including the virtual t = -1
   // column the first tick reads as "previous".
+  d_[0] = 0.0;
   d_prev_[0] = 0.0;
-  s_prev_[0] = 0;
-  t_ = 0;
-  has_candidate_ = false;
-  dmin_ = kInf;
-  ts_ = te_ = 0;
-  group_start_ = group_end_ = 0;
-  has_best_ = false;
-  best_ = Match{};
-  cells_pruned_ = 0;
-  cells_computed_ = 0;
-  last_report_end_ = -1;
 }
 
 bool SpringMatcher::Update(double x, Match* match) {
-  switch (options_.local_distance) {
-    case dtw::LocalDistance::kSquared:
-      return UpdateImpl(x, match, dtw::SquaredDistance());
-    case dtw::LocalDistance::kAbsolute:
-      return UpdateImpl(x, match, dtw::AbsoluteDistance());
-  }
-  return UpdateImpl(x, match, dtw::SquaredDistance());
-}
-
-template <typename Dist>
-bool SpringMatcher::UpdateImpl(double x, Match* match, Dist dist) {
-  const int64_t m = query_length();
-  const int64_t t = t_;
-  cells_computed_ += m;
-
-  // --- STWM column update: Equations (7) and (8) of the paper. ---
-  // Star-padding row: a subsequence may start here for free.
-  d_[0] = 0.0;
-  s_[0] = t;
-  for (int64_t i = 1; i <= m; ++i) {
-    const double d_here = d_[static_cast<size_t>(i - 1)];      // d(t, i-1)
-    const double d_up = d_prev_[static_cast<size_t>(i)];       // d(t-1, i)
-    const double d_diag = d_prev_[static_cast<size_t>(i - 1)]; // d(t-1, i-1)
-    double dbest = d_here;
-    if (d_up < dbest) dbest = d_up;
-    if (d_diag < dbest) dbest = d_diag;
-
-    d_[static_cast<size_t>(i)] =
-        dist(x, query_[static_cast<size_t>(i - 1)]) + dbest;
-    // Tie-break order follows Equation (8): (t, i-1), (t-1, i), (t-1, i-1).
-    if (d_here == dbest) {
-      s_[static_cast<size_t>(i)] = s_[static_cast<size_t>(i - 1)];
-    } else if (d_up == dbest) {
-      s_[static_cast<size_t>(i)] = s_prev_[static_cast<size_t>(i)];
-    } else {
-      s_[static_cast<size_t>(i)] = s_prev_[static_cast<size_t>(i - 1)];
-    }
-    // Length-constraint extension: prune warping paths that already span
-    // more stream ticks than any admissible match may.
-    if (options_.max_match_length > 0 &&
-        t - s_[static_cast<size_t>(i)] + 1 > options_.max_match_length) {
-      d_[static_cast<size_t>(i)] = kInf;
-      ++cells_pruned_;
-    }
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  // Debug-gated STWM invariant checks (docs/CORRECTNESS.md). The column
-  // view stays valid through the tick; the report check below reads it
-  // before the post-report kill mutates it.
-  const invariants::StwmColumn inv_column{
-      std::span<const double>(d_.data(), d_.size()),
-      std::span<const int64_t>(s_.data(), s_.size()),
-      std::span<const double>(d_prev_.data(), d_prev_.size()),
-      std::span<const int64_t>(s_prev_.data(), s_prev_.size()), t};
-  {
-    const std::string violation = invariants::CheckColumn(inv_column);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-  const double inv_prev_best = has_best_ ? best_.distance : kInf;
-#endif
-
-  const double dm = d_[static_cast<size_t>(m)];
-  const int64_t sm = s_[static_cast<size_t>(m)];
-  const bool long_enough =
-      options_.min_match_length <= 0 ||
-      t - sm + 1 >= options_.min_match_length;
-
-  // --- Best-match tracking (Problem 1 / Theorem 1). ---
-  if (long_enough && (!has_best_ || dm < best_.distance)) {
-    has_best_ = true;
-    best_.start = sm;
-    best_.end = t;
-    best_.distance = dm;
-    best_.report_time = t;
-    best_.group_start = sm;
-    best_.group_end = t;
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  if (has_best_) {
-    const std::string violation =
-        invariants::CheckBest(best_, inv_prev_best);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-#endif
-
-  // --- Disjoint-query algorithm (the paper's Figure 4), verbatim order:
-  // first the report check against the *current* arrays, then the candidate
-  // update with this tick's d_m. ---
-  bool reported = false;
-  if (has_candidate_ && dmin_ <= options_.epsilon) {
-    bool can_report = true;
-    for (int64_t i = 1; i <= m; ++i) {
-      if (d_[static_cast<size_t>(i)] < dmin_ &&
-          s_[static_cast<size_t>(i)] <= te_) {
-        can_report = false;
-        break;
-      }
-    }
-    if (can_report) {
-      if (match != nullptr) {
-        match->start = ts_;
-        match->end = te_;
-        match->distance = dmin_;
-        match->report_time = t;
-        match->group_start = group_start_;
-        match->group_end = group_end_;
-      }
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-      {
-        Match inv_match;
-        inv_match.start = ts_;
-        inv_match.end = te_;
-        inv_match.distance = dmin_;
-        inv_match.report_time = t;
-        const std::string violation = invariants::CheckReport(
-            inv_column, inv_match, options_.epsilon, last_report_end_);
-        SPRINGDTW_CHECK(violation.empty()) << violation;
-        last_report_end_ = te_;
-      }
-#endif
-      reported = true;
-      // Reset d_min and kill every cell whose path started inside the
-      // reported group, so upcoming candidates are disjoint from it.
-      dmin_ = kInf;
-      has_candidate_ = false;
-      for (int64_t i = 1; i <= m; ++i) {
-        if (s_[static_cast<size_t>(i)] <= te_) {
-          d_[static_cast<size_t>(i)] = kInf;
-        }
-      }
-    }
-  }
-
-  // Candidate capture / replacement. Note d_[m] may have just been reset.
-  const double dm_after = d_[static_cast<size_t>(m)];
-  if (dm_after <= options_.epsilon && long_enough) {
-    if (dm_after < dmin_) {
-      dmin_ = dm_after;
-      ts_ = sm;
-      te_ = t;
-      if (!has_candidate_) {
-        group_start_ = sm;
-        group_end_ = t;
-      }
-      has_candidate_ = true;
-    }
-    // Track the group of *all* qualifying overlapping subsequences
-    // (Section 5.3 extension: report the range of the group).
-    if (has_candidate_) {
-      group_start_ = std::min(group_start_, sm);
-      group_end_ = std::max(group_end_, t);
-    }
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  if (has_candidate_) {
-    const std::string violation =
-        invariants::CheckCandidate(inv_column, dmin_, ts_, te_, group_start_,
-                                   group_end_, options_.epsilon);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-#endif
-
+  const unsigned events = WithLocalDistance(
+      state_.options.local_distance, [&](auto dist) {
+        using Dist = decltype(dist);
+        return SpringStep(state_, ScalarDistance<Dist>(&x, query_.data(), 1),
+                          d_prev_.data() + 1, s_prev_.data() + 1,
+                          d_.data() + 1, s_.data() + 1, match);
+      });
+  s_[0] = state_.t - 1;  // s(t, 0) = t for the tick just consumed.
   std::swap(d_, d_prev_);
   std::swap(s_, s_prev_);
-  ++t_;
-  return reported;
+  return (events & kSpringReported) != 0;
 }
 
 bool SpringMatcher::Flush(Match* match) {
-  if (!has_candidate_ || dmin_ > options_.epsilon) return false;
-  if (match != nullptr) {
-    match->start = ts_;
-    match->end = te_;
-    match->distance = dmin_;
-    match->report_time = t_;
-    match->group_start = group_start_;
-    match->group_end = group_end_;
-  }
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  SPRINGDTW_CHECK(ts_ > last_report_end_)
-      << "STWM invariant 'reports-disjoint' violated at flush: start "
-      << ts_ << " overlaps previous report ending at " << last_report_end_;
-  last_report_end_ = te_;
-#endif
-  has_candidate_ = false;
-  dmin_ = kInf;
-  // Kill cells belonging to the flushed group, mirroring the report path,
-  // so resuming the stream cannot re-report overlapping subsequences.
-  for (size_t i = 1; i < d_prev_.size(); ++i) {
-    if (s_prev_[i] <= te_) d_prev_[i] = kInf;
-  }
-  return true;
+  return SpringFlush(state_, d_prev_.data() + 1, s_prev_.data() + 1, match);
 }
-
-namespace {
-
-// Snapshot format magic + version. Bump the version on layout changes.
-constexpr uint32_t kSnapshotMagic = 0x53505231;  // "SPR1"
-constexpr uint32_t kSnapshotVersion = 1;
-
-}  // namespace
 
 std::vector<uint8_t> SpringMatcher::SerializeState() const {
   util::ByteWriter writer;
-  writer.WriteU32(kSnapshotMagic);
-  writer.WriteU32(kSnapshotVersion);
-  writer.WriteDouble(options_.epsilon);
-  writer.WriteU8(static_cast<uint8_t>(options_.local_distance));
-  writer.WriteI64(options_.max_match_length);
-  writer.WriteI64(options_.min_match_length);
-  writer.WriteDoubleVector(query_);
   // Only the "previous" rows carry live state between ticks; the working
   // rows are scratch.
-  writer.WriteDoubleVector(d_prev_);
-  writer.WriteInt64Vector(s_prev_);
-  writer.WriteI64(t_);
-  writer.WriteBool(has_candidate_);
-  writer.WriteDouble(dmin_);
-  writer.WriteI64(ts_);
-  writer.WriteI64(te_);
-  writer.WriteI64(group_start_);
-  writer.WriteI64(group_end_);
-  writer.WriteBool(has_best_);
-  writer.WriteI64(best_.start);
-  writer.WriteI64(best_.end);
-  writer.WriteDouble(best_.distance);
-  writer.WriteI64(best_.report_time);
-  writer.WriteI64(best_.group_start);
-  writer.WriteI64(best_.group_end);
+  WriteSpringSnapshot(&writer, kScalarSnapshotMagic, state_, query_,
+                      /*dims=*/1, /*name=*/"", d_prev_.data() + 1,
+                      s_prev_.data() + 1);
 #if SPRINGDTW_ENABLE_INVARIANT_CHECKS
   {
     // Round-trip equivalence: the bytes we just produced must restore to a
@@ -296,106 +74,14 @@ std::vector<uint8_t> SpringMatcher::SerializeState() const {
 util::StatusOr<SpringMatcher> SpringMatcher::DeserializeState(
     std::span<const uint8_t> bytes) {
   util::ByteReader reader(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  reader.ReadU32(&magic);
-  reader.ReadU32(&version);
-  if (!reader.ok() || magic != kSnapshotMagic) {
-    return util::InvalidArgumentError("not a SpringMatcher snapshot");
-  }
-  if (version != kSnapshotVersion) {
-    return util::InvalidArgumentError("unsupported snapshot version");
-  }
-
-  SpringOptions options;
-  uint8_t distance = 0;
-  reader.ReadDouble(&options.epsilon);
-  reader.ReadU8(&distance);
-  reader.ReadI64(&options.max_match_length);
-  reader.ReadI64(&options.min_match_length);
-  if (distance > static_cast<uint8_t>(dtw::LocalDistance::kAbsolute)) {
-    return util::InvalidArgumentError("snapshot has unknown local distance");
-  }
-  options.local_distance = static_cast<dtw::LocalDistance>(distance);
-
-  std::vector<double> query;
-  if (!reader.ReadDoubleVector(&query) || query.empty()) {
-    return util::InvalidArgumentError("snapshot query missing or empty");
-  }
-  for (const double v : query) {
-    if (std::isnan(v)) {
-      return util::InvalidArgumentError("snapshot query contains NaN");
-    }
-  }
-
-  SpringMatcher matcher(std::move(query), options);
-  if (!reader.ReadDoubleVector(&matcher.d_prev_) ||
-      !reader.ReadInt64Vector(&matcher.s_prev_)) {
-    return util::InvalidArgumentError("snapshot rows truncated");
-  }
-  if (matcher.d_prev_.size() != matcher.query_.size() + 1 ||
-      matcher.s_prev_.size() != matcher.query_.size() + 1) {
-    return util::InvalidArgumentError("snapshot row size mismatch");
-  }
-  reader.ReadI64(&matcher.t_);
-  reader.ReadBool(&matcher.has_candidate_);
-  reader.ReadDouble(&matcher.dmin_);
-  reader.ReadI64(&matcher.ts_);
-  reader.ReadI64(&matcher.te_);
-  reader.ReadI64(&matcher.group_start_);
-  reader.ReadI64(&matcher.group_end_);
-  reader.ReadBool(&matcher.has_best_);
-  reader.ReadI64(&matcher.best_.start);
-  reader.ReadI64(&matcher.best_.end);
-  reader.ReadDouble(&matcher.best_.distance);
-  reader.ReadI64(&matcher.best_.report_time);
-  reader.ReadI64(&matcher.best_.group_start);
-  reader.ReadI64(&matcher.best_.group_end);
-  if (!reader.ok()) {
-    return util::InvalidArgumentError("snapshot truncated");
-  }
-  if (!reader.AtEnd()) {
-    return util::InvalidArgumentError("snapshot has trailing bytes");
-  }
-  if (matcher.t_ < 0) {
-    return util::InvalidArgumentError("snapshot has negative tick counter");
-  }
-
-  // Semantic validation: the structural checks above guarantee shapes; these
-  // guarantee the state is one a real matcher could actually have been in,
-  // so resuming the stream cannot violate the STWM invariants
-  // (docs/CORRECTNESS.md). Crafted/corrupt snapshots that parse but encode
-  // impossible state are rejected here rather than poisoning the matcher.
-  const int64_t last_tick = matcher.t_ > 0 ? matcher.t_ - 1 : 0;
-  if (matcher.d_prev_[0] != 0.0 || matcher.s_prev_[0] != last_tick) {
-    return util::InvalidArgumentError("snapshot star row corrupt");
-  }
-  for (size_t i = 1; i < matcher.d_prev_.size(); ++i) {
-    const double d = matcher.d_prev_[i];
-    const int64_t s = matcher.s_prev_[i];
-    if (std::isnan(d) || d < 0.0 || s < 0 || s > last_tick) {
-      return util::InvalidArgumentError("snapshot STWM row corrupt");
-    }
-  }
-  if (matcher.has_candidate_) {
-    if (matcher.t_ == 0 || std::isnan(matcher.dmin_) || matcher.dmin_ < 0.0 ||
-        matcher.dmin_ > matcher.options_.epsilon || matcher.ts_ < 0 ||
-        matcher.ts_ > matcher.te_ || matcher.te_ > last_tick ||
-        matcher.group_start_ < 0 || matcher.group_start_ > matcher.ts_ ||
-        matcher.group_end_ < matcher.te_ || matcher.group_end_ > last_tick) {
-      return util::InvalidArgumentError("snapshot candidate corrupt");
-    }
-  }
-  if (matcher.has_best_) {
-    if (matcher.t_ == 0 || std::isnan(matcher.best_.distance) ||
-        matcher.best_.distance < 0.0 || matcher.best_.start < 0 ||
-        matcher.best_.start > matcher.best_.end ||
-        matcher.best_.end > last_tick ||
-        matcher.best_.report_time < matcher.best_.end ||
-        matcher.best_.report_time > last_tick) {
-      return util::InvalidArgumentError("snapshot best-match corrupt");
-    }
-  }
+  SpringTemplate tmpl;
+  SPRINGDTW_RETURN_IF_ERROR(
+      ReadSpringTemplate(&reader, kScalarSnapshotMagic, &tmpl));
+  SpringMatcher matcher(std::move(tmpl.values), tmpl.options);
+  SPRINGDTW_RETURN_IF_ERROR(ReadSpringBody(&reader, &matcher.state_,
+                                           matcher.d_prev_.data() + 1,
+                                           matcher.s_prev_.data() + 1));
+  matcher.s_prev_[0] = matcher.state_.t > 0 ? matcher.state_.t - 1 : 0;
   return matcher;
 }
 

@@ -6,36 +6,12 @@
 #include <vector>
 
 #include "core/match.h"
-#include "dtw/local_distance.h"
+#include "core/spring_kernel.h"
 #include "util/memory.h"
 #include "util/status.h"
 
 namespace springdtw {
 namespace core {
-
-/// Options shared by the SPRING matchers.
-struct SpringOptions {
-  /// Disjoint-query threshold epsilon. Subsequences with DTW distance
-  /// <= epsilon qualify. Irrelevant for pure best-match use (set anything);
-  /// set to +infinity to make every subsequence qualify.
-  double epsilon = 0.0;
-  /// Tick-to-tick distance; the paper's default is the squared difference.
-  dtw::LocalDistance local_distance = dtw::LocalDistance::kSquared;
-  /// Extension (not in the paper): if > 0, warping paths spanning more than
-  /// this many stream ticks are pruned, bounding how far a match may
-  /// stretch relative to the query (akin to a global constraint for the
-  /// subsequence case). 0 means unlimited, the paper's semantics. Matches
-  /// and best-match results then never exceed this length.
-  int64_t max_match_length = 0;
-  /// Extension (not in the paper): matches whose *optimal* alignment spans
-  /// fewer than this many stream ticks do not qualify for disjoint-query
-  /// reporting (best-match tracking also skips them). This is a report
-  /// filter, not a constrained search: if a shorter alignment dominates the
-  /// STWM cell, a longer-but-worse alignment of the same region is not
-  /// resurrected. 0 means no minimum. Useful to suppress degenerate
-  /// few-tick matches under loose epsilons.
-  int64_t min_match_length = 0;
-};
 
 /// SPRING: streaming subsequence matching under the DTW distance
 /// (Sakurai, Faloutsos, Yamamuro, ICDE 2007).
@@ -57,7 +33,9 @@ struct SpringOptions {
 /// above epsilon). Positions and the no-false-dismissal guarantees are
 /// unaffected.
 ///
-/// The hot path performs no heap allocation and never throws.
+/// The hot path performs no heap allocation and never throws. This class is
+/// a one-query façade over the shared kernel (core/spring_kernel.h); the
+/// batch pool (core/spring_batch.h) runs the same kernel over many queries.
 ///
 /// Example:
 ///   SpringMatcher matcher(query, {.epsilon = 100.0});
@@ -69,6 +47,7 @@ struct SpringOptions {
 class SpringMatcher {
  public:
   /// `query` is Y = (y_1 .. y_m), m >= 1 (the star-padding y_0 is implicit).
+  /// `query` and `options` must pass ValidateSpringQuery (CHECK-enforced).
   SpringMatcher(std::vector<double> query, SpringOptions options);
 
   SpringMatcher(const SpringMatcher&) = default;
@@ -87,47 +66,44 @@ class SpringMatcher {
   bool Flush(Match* match);
 
   /// Number of ticks consumed so far.
-  int64_t ticks_processed() const { return t_; }
+  int64_t ticks_processed() const { return state_.t; }
 
   /// Best-match tracking (Problem 1): true once any subsequence exists.
-  bool has_best() const { return has_best_; }
+  bool has_best() const { return state_.has_best; }
   /// The minimum-distance subsequence seen so far. Requires has_best().
-  Match best() const { return best_; }
+  Match best() const { return state_.best; }
 
   /// True if a qualifying candidate is currently captured but not reported.
-  bool has_pending_candidate() const { return has_candidate_; }
+  bool has_pending_candidate() const { return state_.has_candidate; }
 
-  /// Observability accessors: plain member reads so a monitoring layer can
-  /// derive candidate-churn and best-improvement events around Update()
-  /// without touching the hot path when unused.
   /// Current best distance; meaningless before has_best().
-  double best_distance() const { return best_.distance; }
+  double best_distance() const { return state_.best.distance; }
   /// Pending candidate's d_min / t_s / t_e; meaningless before
   /// has_pending_candidate().
-  double candidate_distance() const { return dmin_; }
-  int64_t candidate_start() const { return ts_; }
-  int64_t candidate_end() const { return te_; }
+  double candidate_distance() const { return state_.dmin; }
+  int64_t candidate_start() const { return state_.ts; }
+  int64_t candidate_end() const { return state_.te; }
   /// Pending candidate's warping-group extent (the span all overlapping
   /// qualifying subsequences cover); meaningless before
   /// has_pending_candidate().
-  int64_t candidate_group_start() const { return group_start_; }
-  int64_t candidate_group_end() const { return group_end_; }
+  int64_t candidate_group_start() const { return state_.group_start; }
+  int64_t candidate_group_end() const { return state_.group_end; }
   /// STWM cells pruned by the max_match_length constraint since
   /// construction or Reset(). Diagnostic only: not serialized, so a
   /// restored matcher restarts at 0.
-  int64_t cells_pruned_total() const { return cells_pruned_; }
+  int64_t cells_pruned_total() const { return state_.cells_pruned; }
   /// STWM cells computed since construction or Reset() — exactly m per
   /// Update(), the paper's O(m)-per-tick cost made countable for per-query
   /// accounting. Diagnostic only: not serialized, so a restored matcher
   /// restarts at 0.
-  int64_t cells_computed_total() const { return cells_computed_; }
+  int64_t cells_computed_total() const { return state_.cells_computed; }
 
   /// Query length m.
   int64_t query_length() const {
     return static_cast<int64_t>(query_.size());
   }
   const std::vector<double>& query() const { return query_; }
-  const SpringOptions& options() const { return options_; }
+  const SpringOptions& options() const { return state_.options; }
 
   /// Discards all stream state (keeps the query); the next Update() is
   /// tick 0 again.
@@ -156,51 +132,17 @@ class SpringMatcher {
   std::span<const int64_t> LastRowStarts() const;
 
  private:
-  // The SoA batch pool (core/spring_batch.h) bridges matcher state in and
-  // out of its packed layout (AdoptMatcher / ToMatcher) without widening
-  // the public API.
-  friend class SpringBatchPool;
-
-  template <typename Dist>
-  bool UpdateImpl(double x, Match* match, Dist dist);
-
   std::vector<double> query_;
-  SpringOptions options_;
+  SpringState state_;
 
-  // DP rows, index 0 is the star-padding row. After Update() returns, the
-  // freshly computed row lives in prev_* (rows are swapped at the end of
-  // each tick so the next tick reads them as "previous").
+  // STWM rows, index 0 being the star-padding row (d = 0, s = t). After
+  // Update() returns, the freshly computed row lives in the prev_ buffers
+  // (rows are swapped at the end of each tick so the next tick reads them
+  // as "previous").
   std::vector<double> d_;
   std::vector<double> d_prev_;
   std::vector<int64_t> s_;
   std::vector<int64_t> s_prev_;
-
-  int64_t t_ = 0;  // Next tick index == number of ticks consumed.
-
-  // Captured disjoint-query candidate (the paper's d_min, t_s, t_e).
-  bool has_candidate_ = false;
-  double dmin_ = 0.0;
-  int64_t ts_ = 0;
-  int64_t te_ = 0;
-  // Extent of the current group of overlapping qualifying subsequences.
-  int64_t group_start_ = 0;
-  int64_t group_end_ = 0;
-
-  // Best-match tracking.
-  bool has_best_ = false;
-  Match best_;
-
-  // Observability: cells discarded by the length-constraint pruning, and
-  // cells computed (m per tick).
-  int64_t cells_pruned_ = 0;
-  int64_t cells_computed_ = 0;
-
-  // End of the most recently reported match, used by the debug-gated
-  // invariant checker to assert reports stay disjoint. -1 when nothing has
-  // been reported. Not serialized: a restored matcher re-baselines (a
-  // checkpoint can only hold state from after the previous report's group
-  // was killed, so no false violation is possible).
-  int64_t last_report_end_ = -1;
 };
 
 }  // namespace core

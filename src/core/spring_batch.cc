@@ -1,448 +1,148 @@
 #include "core/spring_batch.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "core/invariants.h"
+#include "util/codec.h"
 #include "util/logging.h"
 
 namespace springdtw {
 namespace core {
-namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
-const SpringBatchPool::QueryState& SpringBatchPool::at(int64_t index) const {
+template <typename Policy>
+const typename BasicSpringPool<Policy>::Slot& BasicSpringPool<Policy>::at(
+    int64_t index) const {
   SPRINGDTW_CHECK(index >= 0 && index < num_queries());
   return queries_[static_cast<size_t>(index)];
 }
 
-int64_t SpringBatchPool::AppendSlot(std::vector<double> query,
-                                    const SpringOptions& options) {
-  SPRINGDTW_CHECK(!query.empty()) << "SPRING needs a non-empty query";
-  for (const double y : query) {
-    SPRINGDTW_CHECK(!std::isnan(y)) << "query contains NaN";
-  }
-  QueryState state;
-  state.query_offset = static_cast<int64_t>(query_values_.size());
-  state.row_offset = static_cast<int64_t>(d_rows_[0].size());
-  state.m = static_cast<int64_t>(query.size());
-  state.options = options;
-  state.dmin = kInf;
-  query_values_.insert(query_values_.end(), query.begin(), query.end());
+template <typename Policy>
+int64_t BasicSpringPool<Policy>::AppendSlot(std::span<const double> values,
+                                            const SpringOptions& options,
+                                            std::string name) {
+  Slot slot;
+  slot.query_offset = static_cast<int64_t>(query_values_.size());
+  slot.row_offset = static_cast<int64_t>(d_rows_[0].size());
+  slot.state.m = static_cast<int64_t>(values.size()) / dims_;
+  slot.state.options = options;
+  query_values_.insert(query_values_.end(), values.begin(), values.end());
+  const size_t m = static_cast<size_t>(slot.state.m);
   for (int buf = 0; buf < 2; ++buf) {
-    d_rows_[buf].insert(d_rows_[buf].end(), query.size(), kInf);
-    s_rows_[buf].insert(s_rows_[buf].end(), query.size(), int64_t{0});
+    d_rows_[buf].insert(d_rows_[buf].end(), m, kSpringInf);
+    s_rows_[buf].insert(s_rows_[buf].end(), m, int64_t{0});
   }
-  queries_.push_back(state);
+  queries_.push_back(slot);
+  names_.push_back(std::move(name));
   return num_queries() - 1;
 }
 
-int64_t SpringBatchPool::AddQuery(std::vector<double> query,
-                                  const SpringOptions& options) {
-  return AppendSlot(std::move(query), options);
+template <typename Policy>
+int64_t BasicSpringPool<Policy>::AddQuery(Query query,
+                                          const SpringOptions& options) {
+  SPRINGDTW_CHECK_EQ(Policy::Dims(query), dims_);
+  const std::span<const double> values = Policy::Values(query);
+  const util::Status admitted = ValidateSpringQuery(values, options);
+  SPRINGDTW_CHECK(admitted.ok()) << admitted.ToString();
+  return AppendSlot(values, options, Policy::Name(query));
 }
 
-int64_t SpringBatchPool::AdoptMatcher(const SpringMatcher& matcher) {
-  const int64_t index = AppendSlot(matcher.query_, matcher.options_);
-  QueryState& q = queries_[static_cast<size_t>(index)];
-  // SpringMatcher keeps its live row in the "prev" buffers between ticks;
-  // copy rows 1..m (the pool never materializes the star row 0).
-  double* d_prev = d_rows_[parity_].data() + q.row_offset;
-  int64_t* s_prev = s_rows_[parity_].data() + q.row_offset;
-  for (int64_t i = 0; i < q.m; ++i) {
-    d_prev[i] = matcher.d_prev_[static_cast<size_t>(i + 1)];
-    s_prev[i] = matcher.s_prev_[static_cast<size_t>(i + 1)];
+template <typename Policy>
+util::StatusOr<int64_t> BasicSpringPool<Policy>::AddQueryFromSnapshot(
+    std::span<const uint8_t> bytes) {
+  util::ByteReader reader(bytes);
+  SpringTemplate tmpl;
+  SPRINGDTW_RETURN_IF_ERROR(
+      ReadSpringTemplate(&reader, Policy::kSnapshotMagic, &tmpl));
+  if (tmpl.dims != dims_) {
+    return util::InvalidArgumentError("snapshot dims mismatch");
   }
-  q.t = matcher.t_;
-  q.has_candidate = matcher.has_candidate_;
-  q.dmin = matcher.dmin_;
-  q.ts = matcher.ts_;
-  q.te = matcher.te_;
-  q.group_start = matcher.group_start_;
-  q.group_end = matcher.group_end_;
-  q.has_best = matcher.has_best_;
-  q.best = matcher.best_;
-  q.cells_pruned = matcher.cells_pruned_;
-  q.cells_computed = matcher.cells_computed_;
-  q.last_report_end = matcher.last_report_end_;
+  const int64_t index =
+      AppendSlot(tmpl.values, tmpl.options, std::move(tmpl.name));
+  Slot& slot = queries_[static_cast<size_t>(index)];
+  const util::Status body =
+      ReadSpringBody(&reader, &slot.state,
+                     d_rows_[parity_].data() + slot.row_offset,
+                     s_rows_[parity_].data() + slot.row_offset);
+  if (!body.ok()) {
+    RemoveQuery(index, nullptr);
+    return body;
+  }
   return index;
 }
 
-SpringMatcher SpringBatchPool::ToMatcher(int64_t index) const {
-  const QueryState& q = at(index);
-  std::vector<double> query(
-      query_values_.begin() + q.query_offset,
-      query_values_.begin() + q.query_offset + q.m);
-  SpringMatcher matcher(std::move(query), q.options);
-  const double* d_prev = d_rows_[parity_].data() + q.row_offset;
-  const int64_t* s_prev = s_rows_[parity_].data() + q.row_offset;
-  matcher.d_prev_[0] = 0.0;
-  matcher.s_prev_[0] = q.t > 0 ? q.t - 1 : 0;
-  for (int64_t i = 0; i < q.m; ++i) {
-    matcher.d_prev_[static_cast<size_t>(i + 1)] = d_prev[i];
-    matcher.s_prev_[static_cast<size_t>(i + 1)] = s_prev[i];
-  }
-  matcher.t_ = q.t;
-  matcher.has_candidate_ = q.has_candidate;
-  matcher.dmin_ = q.dmin;
-  matcher.ts_ = q.ts;
-  matcher.te_ = q.te;
-  matcher.group_start_ = q.group_start;
-  matcher.group_end_ = q.group_end;
-  matcher.has_best_ = q.has_best;
-  matcher.best_ = q.best;
-  matcher.cells_pruned_ = q.cells_pruned;
-  matcher.cells_computed_ = q.cells_computed;
-  matcher.last_report_end_ = q.last_report_end;
-  return matcher;
+template <typename Policy>
+std::vector<uint8_t> BasicSpringPool<Policy>::SerializeQuery(
+    int64_t index) const {
+  const Slot& slot = at(index);
+  util::ByteWriter writer;
+  WriteSpringSnapshot(
+      &writer, Policy::kSnapshotMagic, slot.state,
+      std::span<const double>(query_values_.data() + slot.query_offset,
+                              static_cast<size_t>(slot.state.m * dims_)),
+      dims_, names_[static_cast<size_t>(index)],
+      d_rows_[parity_].data() + slot.row_offset,
+      s_rows_[parity_].data() + slot.row_offset);
+  return writer.Take();
 }
 
-template <typename Dist>
-bool SpringBatchPool::UpdateOne(QueryState& q, double x, Dist dist,
-                                const double* y, double* d_cur,
-                                int64_t* s_cur, const double* d_prev,
-                                const int64_t* s_prev, Match* match) {
-  const int64_t m = q.m;
-  const int64_t t = q.t;
-  q.cells_computed += m;
-
-  // --- STWM column update, Equations (7)/(8), star row implicit:
-  // d(t, 0) = 0, s(t, 0) = t; d(t-1, 0) = 0, s(t-1, 0) = t - 1. The
-  // expression order mirrors SpringMatcher::UpdateImpl exactly so results
-  // compare bitwise equal.
-  double d_here = 0.0;   // d(t, i-1), starts at the star row.
-  int64_t s_here = t;    // s(t, i-1)
-  double d_diag = 0.0;   // d(t-1, i-1)
-  int64_t s_diag = t - 1;
-  for (int64_t i = 0; i < m; ++i) {
-    const double d_up = d_prev[i];  // d(t-1, i)
-    const int64_t s_up = s_prev[i];
-    double dbest = d_here;
-    if (d_up < dbest) dbest = d_up;
-    if (d_diag < dbest) dbest = d_diag;
-
-    double d_new = dist(x, y[i]) + dbest;
-    // Tie-break order follows Equation (8): (t, i-1), (t-1, i), (t-1, i-1).
-    int64_t s_new;
-    if (d_here == dbest) {
-      s_new = s_here;
-    } else if (d_up == dbest) {
-      s_new = s_up;
-    } else {
-      s_new = s_diag;
-    }
-    if (q.options.max_match_length > 0 &&
-        t - s_new + 1 > q.options.max_match_length) {
-      d_new = kInf;
-      ++q.cells_pruned;
-    }
-    d_cur[i] = d_new;
-    s_cur[i] = s_new;
-    d_here = d_new;
-    s_here = s_new;
-    d_diag = d_up;
-    s_diag = s_up;
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  // Materialize full columns (star row at index 0) for the debug-gated
-  // checks; copies are taken before the post-report kill below so the
-  // report check sees the pre-kill column, as in SpringMatcher.
-  const size_t rows = static_cast<size_t>(m) + 1;
-  check_d_.assign(rows, 0.0);
-  check_s_.assign(rows, 0);
-  check_d_prev_.assign(rows, 0.0);
-  check_s_prev_.assign(rows, 0);
-  check_s_[0] = t;
-  check_s_prev_[0] = t > 0 ? t - 1 : 0;
-  for (int64_t i = 0; i < m; ++i) {
-    check_d_[static_cast<size_t>(i) + 1] = d_cur[i];
-    check_s_[static_cast<size_t>(i) + 1] = s_cur[i];
-    check_d_prev_[static_cast<size_t>(i) + 1] = d_prev[i];
-    check_s_prev_[static_cast<size_t>(i) + 1] = s_prev[i];
-  }
-  const invariants::StwmColumn inv_column{
-      std::span<const double>(check_d_.data(), check_d_.size()),
-      std::span<const int64_t>(check_s_.data(), check_s_.size()),
-      std::span<const double>(check_d_prev_.data(), check_d_prev_.size()),
-      std::span<const int64_t>(check_s_prev_.data(), check_s_prev_.size()),
-      t};
-  {
-    const std::string violation = invariants::CheckColumn(inv_column);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-  const double inv_prev_best = q.has_best ? q.best.distance : kInf;
-#endif
-
-  const double dm = d_cur[m - 1];
-  const int64_t sm = s_cur[m - 1];
-  const bool long_enough = q.options.min_match_length <= 0 ||
-                           t - sm + 1 >= q.options.min_match_length;
-
-  // --- Best-match tracking (Problem 1 / Theorem 1). ---
-  if (long_enough && (!q.has_best || dm < q.best.distance)) {
-    q.has_best = true;
-    q.best.start = sm;
-    q.best.end = t;
-    q.best.distance = dm;
-    q.best.report_time = t;
-    q.best.group_start = sm;
-    q.best.group_end = t;
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  if (q.has_best) {
-    const std::string violation = invariants::CheckBest(q.best, inv_prev_best);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-#endif
-
-  // --- Disjoint-query algorithm (the paper's Figure 4). ---
-  bool reported = false;
-  if (q.has_candidate && q.dmin <= q.options.epsilon) {
-    bool can_report = true;
-    for (int64_t i = 0; i < m; ++i) {
-      if (d_cur[i] < q.dmin && s_cur[i] <= q.te) {
-        can_report = false;
-        break;
-      }
-    }
-    if (can_report) {
-      if (match != nullptr) {
-        match->start = q.ts;
-        match->end = q.te;
-        match->distance = q.dmin;
-        match->report_time = t;
-        match->group_start = q.group_start;
-        match->group_end = q.group_end;
-      }
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-      {
-        Match inv_match;
-        inv_match.start = q.ts;
-        inv_match.end = q.te;
-        inv_match.distance = q.dmin;
-        inv_match.report_time = t;
-        const std::string violation = invariants::CheckReport(
-            inv_column, inv_match, q.options.epsilon, q.last_report_end);
-        SPRINGDTW_CHECK(violation.empty()) << violation;
-      }
-#endif
-      q.last_report_end = q.te;
-      reported = true;
-      q.dmin = kInf;
-      q.has_candidate = false;
-      for (int64_t i = 0; i < m; ++i) {
-        if (s_cur[i] <= q.te) d_cur[i] = kInf;
-      }
-    }
-  }
-
-  // Candidate capture / replacement. Note d_cur[m-1] may have just been
-  // killed.
-  const double dm_after = d_cur[m - 1];
-  if (dm_after <= q.options.epsilon && long_enough) {
-    if (dm_after < q.dmin) {
-      q.dmin = dm_after;
-      q.ts = sm;
-      q.te = t;
-      if (!q.has_candidate) {
-        q.group_start = sm;
-        q.group_end = t;
-      }
-      q.has_candidate = true;
-    }
-    if (q.has_candidate) {
-      q.group_start = std::min(q.group_start, sm);
-      q.group_end = std::max(q.group_end, t);
-    }
-  }
-
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-  if (q.has_candidate) {
-    const std::string violation = invariants::CheckCandidate(
-        inv_column, q.dmin, q.ts, q.te, q.group_start, q.group_end,
-        q.options.epsilon);
-    SPRINGDTW_CHECK(violation.empty()) << violation;
-  }
-#endif
-
-  ++q.t;
-  return reported;
-}
-
-bool SpringBatchPool::UpdateOneDispatch(QueryState& q, double x,
-                                        double* d_cur, int64_t* s_cur,
-                                        const double* d_prev,
-                                        const int64_t* s_prev, Match* match) {
-  const double* y = query_values_.data() + q.query_offset;
-  switch (q.options.local_distance) {
-    case dtw::LocalDistance::kSquared:
-      return UpdateOne(q, x, dtw::SquaredDistance(), y, d_cur, s_cur, d_prev,
-                       s_prev, match);
-    case dtw::LocalDistance::kAbsolute:
-      return UpdateOne(q, x, dtw::AbsoluteDistance(), y, d_cur, s_cur,
-                       d_prev, s_prev, match);
-  }
-  return UpdateOne(q, x, dtw::SquaredDistance(), y, d_cur, s_cur, d_prev,
-                   s_prev, match);
-}
-
-int64_t SpringBatchPool::PushBatch(std::span<const double> values,
-                                   std::vector<Report>* reports) {
-  if (values.empty() || queries_.empty()) {
-    // Ticks must advance even with no queries so late-added queries see a
-    // consistent pool; with no queries there is no per-query state to move.
-    if (!queries_.empty()) return 0;
-    parity_ = (parity_ + static_cast<int>(values.size() % 2)) & 1;
-    return 0;
-  }
-  const size_t first_report =
-      reports != nullptr ? reports->size() : size_t{0};
+template <typename Policy>
+int64_t BasicSpringPool<Policy>::Flush(std::vector<Report>* reports) {
   int64_t appended = 0;
-  Match match;
-  // Query-major: each query consumes the whole span before the next starts,
-  // so its two DP rows stay in L1 across the batch. Tick j reads buffer
-  // (parity_ + j) & 1 as "previous" and writes (parity_ + j + 1) & 1.
-  for (QueryState& q : queries_) {
-    for (size_t j = 0; j < values.size(); ++j) {
-      const int prev_buf = (parity_ + static_cast<int>(j)) & 1;
-      const int cur_buf = prev_buf ^ 1;
-      const bool reported = UpdateOneDispatch(
-          q, values[j], d_rows_[cur_buf].data() + q.row_offset,
-          s_rows_[cur_buf].data() + q.row_offset,
-          d_rows_[prev_buf].data() + q.row_offset,
-          s_rows_[prev_buf].data() + q.row_offset,
-          reports != nullptr ? &match : nullptr);
-      if (reported && reports != nullptr) {
-        reports->push_back(
-            Report{&q - queries_.data(), match});
-        ++appended;
-      }
+  for (int64_t index = 0; index < num_queries(); ++index) {
+    Slot& slot = queries_[static_cast<size_t>(index)];
+    Match match;
+    if (SpringFlush(slot.state, d_rows_[parity_].data() + slot.row_offset,
+                    s_rows_[parity_].data() + slot.row_offset, &match)) {
+      if (reports != nullptr) reports->push_back(Report{index, match, 0});
+      ++appended;
     }
-  }
-  parity_ = (parity_ + static_cast<int>(values.size() % 2)) & 1;
-  // Restore the order per-tick processing would produce: by report tick,
-  // then by query index (stable for equal keys).
-  if (reports != nullptr && appended > 1) {
-    std::stable_sort(
-        reports->begin() + static_cast<std::ptrdiff_t>(first_report),
-        reports->end(), [](const Report& a, const Report& b) {
-          if (a.match.report_time != b.match.report_time) {
-            return a.match.report_time < b.match.report_time;
-          }
-          return a.query_index < b.query_index;
-        });
   }
   return appended;
 }
 
-int64_t SpringBatchPool::Update(double x, std::vector<Report>* reports) {
-  return PushBatch(std::span<const double>(&x, 1), reports);
-}
-
-int64_t SpringBatchPool::Flush(std::vector<Report>* reports) {
-  int64_t appended = 0;
-  double* d_prev = d_rows_[parity_].data();
-  int64_t* s_prev = s_rows_[parity_].data();
-  for (QueryState& q : queries_) {
-    if (!q.has_candidate || q.dmin > q.options.epsilon) continue;
-    if (reports != nullptr) {
-      Report report;
-      report.query_index = &q - queries_.data();
-      report.match.start = q.ts;
-      report.match.end = q.te;
-      report.match.distance = q.dmin;
-      report.match.report_time = q.t;
-      report.match.group_start = q.group_start;
-      report.match.group_end = q.group_end;
-      reports->push_back(report);
-    }
-#if SPRINGDTW_ENABLE_INVARIANT_CHECKS
-    SPRINGDTW_CHECK(q.ts > q.last_report_end)
-        << "STWM invariant 'reports-disjoint' violated at flush: start "
-        << q.ts << " overlaps previous report ending at "
-        << q.last_report_end;
-#endif
-    q.last_report_end = q.te;
-    q.has_candidate = false;
-    q.dmin = kInf;
-    // Kill cells belonging to the flushed group, mirroring
-    // SpringMatcher::Flush, so resuming the stream cannot re-report
-    // overlapping subsequences.
-    for (int64_t i = 0; i < q.m; ++i) {
-      if (s_prev[q.row_offset + i] <= q.te) {
-        d_prev[q.row_offset + i] = kInf;
-      }
-    }
-    ++appended;
-  }
-  return appended;
-}
-
-bool SpringBatchPool::RemoveQuery(int64_t index, Match* match) {
-  const QueryState& q = at(index);
-  // Report-eligibility at removal time mirrors the per-tick check in
-  // UpdateOne (the paper's Figure 4): the candidate is committed iff no
-  // current-row cell could still grow into a better overlapping match.
-  bool flushed = false;
-  if (q.has_candidate && q.dmin <= q.options.epsilon) {
-    const double* d_prev = d_rows_[parity_].data() + q.row_offset;
-    const int64_t* s_prev = s_rows_[parity_].data() + q.row_offset;
-    bool can_report = true;
-    for (int64_t i = 0; i < q.m; ++i) {
-      if (d_prev[i] < q.dmin && s_prev[i] <= q.te) {
-        can_report = false;
-        break;
-      }
-    }
-    if (can_report) {
-      if (match != nullptr) {
-        match->start = q.ts;
-        match->end = q.te;
-        match->distance = q.dmin;
-        match->report_time = q.t;
-        match->group_start = q.group_start;
-        match->group_end = q.group_end;
-      }
-      flushed = true;
-    }
-  }
+template <typename Policy>
+bool BasicSpringPool<Policy>::RemoveQuery(int64_t index, Match* match) {
+  const Slot& slot = at(index);
+  const SpringState& q = slot.state;
+  // The report-eligibility scan a tick would run, on the live rows.
+  const bool flushed =
+      SpringCanReport(q, d_rows_[parity_].data() + slot.row_offset,
+                      s_rows_[parity_].data() + slot.row_offset);
+  if (flushed && match != nullptr) *match = SpringCandidate(q, q.t);
 
   // Compact: slots were appended in index order, so every query past
-  // `index` sits `m` entries higher in each array.
-  const int64_t m = q.m;
-  const auto values_first = query_values_.begin() + q.query_offset;
-  query_values_.erase(values_first, values_first + m);
+  // `index` sits further along in each array.
+  const int64_t values = q.m * dims_;
+  const int64_t rows = q.m;
+  const auto values_first = query_values_.begin() + slot.query_offset;
+  query_values_.erase(values_first, values_first + values);
   for (int buf = 0; buf < 2; ++buf) {
-    const auto d_first = d_rows_[buf].begin() + q.row_offset;
-    d_rows_[buf].erase(d_first, d_first + m);
-    const auto s_first = s_rows_[buf].begin() + q.row_offset;
-    s_rows_[buf].erase(s_first, s_first + m);
+    const auto d_first = d_rows_[buf].begin() + slot.row_offset;
+    d_rows_[buf].erase(d_first, d_first + rows);
+    const auto s_first = s_rows_[buf].begin() + slot.row_offset;
+    s_rows_[buf].erase(s_first, s_first + rows);
   }
   queries_.erase(queries_.begin() + index);
+  names_.erase(names_.begin() + index);
   for (size_t j = static_cast<size_t>(index); j < queries_.size(); ++j) {
-    queries_[j].query_offset -= m;
-    queries_[j].row_offset -= m;
+    queries_[j].query_offset -= values;
+    queries_[j].row_offset -= rows;
   }
   return flushed;
 }
 
-util::MemoryFootprint SpringBatchPool::Footprint() const {
+template <typename Policy>
+util::MemoryFootprint BasicSpringPool<Policy>::Footprint() const {
   util::MemoryFootprint fp;
   fp.Add("query", util::VectorBytes(query_values_));
   fp.Add("stwm_distances",
          util::VectorBytes(d_rows_[0]) + util::VectorBytes(d_rows_[1]));
   fp.Add("stwm_starts",
          util::VectorBytes(s_rows_[0]) + util::VectorBytes(s_rows_[1]));
-  fp.Add("pool_state", static_cast<int64_t>(queries_.capacity() *
-                                            sizeof(QueryState)));
+  fp.Add("pool_state",
+         static_cast<int64_t>(queries_.capacity() * sizeof(Slot)));
   return fp;
 }
+
+template class BasicSpringPool<ScalarPoolPolicy>;
+template class BasicSpringPool<RowPoolPolicy>;
 
 }  // namespace core
 }  // namespace springdtw

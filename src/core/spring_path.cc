@@ -1,32 +1,30 @@
 #include "core/spring_path.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "dtw/local_distance.h"
 #include "util/logging.h"
 
 namespace springdtw {
 namespace core {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 SpringPathMatcher::SpringPathMatcher(std::vector<double> query,
                                      SpringOptions options)
-    : query_(std::move(query)), options_(options) {
-  SPRINGDTW_CHECK(!query_.empty());
+    : query_(std::move(query)) {
+  const util::Status admitted = ValidateSpringQuery(query_, options);
+  SPRINGDTW_CHECK(admitted.ok()) << admitted.ToString();
+  state_.m = static_cast<int64_t>(query_.size());
+  state_.options = options;
   const size_t rows = query_.size() + 1;
-  d_.assign(rows, kInf);
-  d_prev_.assign(rows, kInf);
+  d_.assign(rows, kSpringInf);
+  d_prev_.assign(rows, kSpringInf);
   s_.assign(rows, 0);
   s_prev_.assign(rows, 0);
   node_.assign(rows, -1);
   node_prev_.assign(rows, -1);
+  d_[0] = 0.0;
   d_prev_[0] = 0.0;
-  dmin_ = kInf;
 }
 
 int64_t SpringPathMatcher::NewNode(int64_t parent, int64_t t, int32_t i) {
@@ -65,10 +63,11 @@ void SpringPathMatcher::Unref(int64_t node) {
 }
 
 bool SpringPathMatcher::Update(double x, PathMatch* match) {
-  const int64_t m = query_length();
-  const int64_t t = t_;
+  const int64_t m = state_.m;
+  const int64_t t = state_.t;
 
-  d_[0] = 0.0;
+  // The kernel's column update (Equations 7/8, then the length prune), plus
+  // one path node per cell recording which predecessor it came from.
   s_[0] = t;
   for (int64_t i = 1; i <= m; ++i) {
     const size_t si = static_cast<size_t>(i);
@@ -79,7 +78,8 @@ bool SpringPathMatcher::Update(double x, PathMatch* match) {
     if (d_up < dbest) dbest = d_up;
     if (d_diag < dbest) dbest = d_diag;
 
-    d_[si] = dtw::PointDistance(options_.local_distance, x, query_[si - 1]) +
+    d_[si] = dtw::PointDistance(state_.options.local_distance, x,
+                                query_[si - 1]) +
              dbest;
     int64_t parent;
     if (d_here == dbest) {
@@ -92,113 +92,58 @@ bool SpringPathMatcher::Update(double x, PathMatch* match) {
       s_[si] = s_prev_[si - 1];
       parent = node_prev_[si - 1];
     }
+    if (ExceedsMaxLength(state_.options.max_match_length, t, s_[si])) {
+      d_[si] = kSpringInf;
+      ++state_.cells_pruned;
+    }
     // The slot still holds the node of the row from two ticks ago; release
     // it before installing this cell's node.
     Unref(node_[si]);
     node_[si] = NewNode(parent, t, static_cast<int32_t>(i));
   }
 
-  const double dm = d_[static_cast<size_t>(m)];
-  const int64_t sm = s_[static_cast<size_t>(m)];
-
-  if (!has_best_ || dm < best_.distance) {
-    has_best_ = true;
-    best_.start = sm;
-    best_.end = t;
-    best_.distance = dm;
-    best_.report_time = t;
-    best_.group_start = sm;
-    best_.group_end = t;
-  }
-
-  bool reported = false;
-  if (has_candidate_ && dmin_ <= options_.epsilon) {
-    bool can_report = true;
-    for (int64_t i = 1; i <= m; ++i) {
-      if (d_[static_cast<size_t>(i)] < dmin_ &&
-          s_[static_cast<size_t>(i)] <= te_) {
-        can_report = false;
-        break;
-      }
-    }
-    if (can_report) {
-      if (match != nullptr) FillMatch(t, match);
-      reported = true;
-      dmin_ = kInf;
-      has_candidate_ = false;
-      Unref(candidate_node_);
-      candidate_node_ = -1;
-      for (int64_t i = 1; i <= m; ++i) {
-        if (s_[static_cast<size_t>(i)] <= te_) {
-          d_[static_cast<size_t>(i)] = kInf;
-        }
-      }
-    }
-  }
-
-  const double dm_after = d_[static_cast<size_t>(m)];
-  if (dm_after <= options_.epsilon) {
-    if (dm_after < dmin_) {
-      dmin_ = dm_after;
-      ts_ = sm;
-      te_ = t;
-      if (!has_candidate_) {
-        group_start_ = sm;
-        group_end_ = t;
-      }
-      has_candidate_ = true;
-      // Pin the candidate's path so row churn cannot reclaim it.
-      Unref(candidate_node_);
-      candidate_node_ = node_[static_cast<size_t>(m)];
-      Ref(candidate_node_);
-    }
-    if (has_candidate_) {
-      group_start_ = std::min(group_start_, sm);
-      group_end_ = std::max(group_end_, t);
-    }
+  Match reported;
+  const unsigned events =
+      SpringTail(state_, d_prev_.data() + 1, s_prev_.data() + 1,
+                 d_.data() + 1, s_.data() + 1, &reported);
+  if ((events & kSpringReported) != 0) EmitCandidate(reported, match);
+  if ((events & kSpringCandidateCaptured) != 0) {
+    // Pin the candidate's path so row churn cannot reclaim it.
+    Unref(candidate_node_);
+    candidate_node_ = node_[static_cast<size_t>(m)];
+    Ref(candidate_node_);
   }
 
   std::swap(d_, d_prev_);
   std::swap(s_, s_prev_);
   std::swap(node_, node_prev_);
-  ++t_;
-  return reported;
+  return (events & kSpringReported) != 0;
 }
 
 bool SpringPathMatcher::Flush(PathMatch* match) {
-  if (!has_candidate_ || dmin_ > options_.epsilon) return false;
-  if (match != nullptr) FillMatch(t_, match);
-  has_candidate_ = false;
-  dmin_ = kInf;
-  Unref(candidate_node_);
-  candidate_node_ = -1;
-  for (size_t i = 1; i < d_prev_.size(); ++i) {
-    if (s_prev_[i] <= te_) d_prev_[i] = kInf;
+  Match flushed;
+  if (!SpringFlush(state_, d_prev_.data() + 1, s_prev_.data() + 1,
+                   &flushed)) {
+    return false;
   }
+  EmitCandidate(flushed, match);
   return true;
 }
 
-void SpringPathMatcher::ExtractPath(int64_t node,
-                                    std::vector<dtw::PathStep>* path) const {
-  path->clear();
-  while (node >= 0) {
-    const PathNode& n = nodes_[static_cast<size_t>(node)];
-    // Convert the STWM's 1-based query row to a 0-based query index.
-    path->emplace_back(n.t, static_cast<int64_t>(n.i) - 1);
-    node = n.parent;
+void SpringPathMatcher::EmitCandidate(const Match& match, PathMatch* out) {
+  if (out != nullptr) {
+    out->match = match;
+    out->path.clear();
+    for (int64_t node = candidate_node_; node >= 0;) {
+      const PathNode& n = nodes_[static_cast<size_t>(node)];
+      // Convert the STWM's 1-based query row to a 0-based query index.
+      out->path.emplace_back(n.t, static_cast<int64_t>(n.i) - 1);
+      node = n.parent;
+    }
+    std::reverse(out->path.begin(), out->path.end());
   }
-  std::reverse(path->begin(), path->end());
-}
-
-void SpringPathMatcher::FillMatch(int64_t report_time,
-                                  PathMatch* match) const {
-  match->match.start = ts_;
-  match->match.end = te_;
-  match->match.distance = dmin_;
-  match->match.report_time = report_time;
-  match->match.group_start = group_start_;
-  match->match.group_end = group_end_;
-  ExtractPath(candidate_node_, &match->path);
+  Unref(candidate_node_);
+  candidate_node_ = -1;
 }
 
 util::MemoryFootprint SpringPathMatcher::Footprint() const {

@@ -28,9 +28,11 @@ struct PathMatch {
 /// far below the naive method's O(n*m).
 ///
 /// The reported matches (positions, distances, report times) are identical
-/// to SpringMatcher's; only the extra path output differs. Per-tick cost is
-/// still O(m), allocation-free once the arena has warmed up (freed nodes are
-/// recycled through a free list).
+/// to SpringMatcher's, length options included: the column loop adds only
+/// the path-node bookkeeping and then runs the shared kernel's length prune
+/// and Figure-4 tail (core/spring_kernel.h). Per-tick cost is still O(m),
+/// allocation-free once the arena has warmed up (freed nodes are recycled
+/// through a free list).
 class SpringPathMatcher {
  public:
   SpringPathMatcher(std::vector<double> query, SpringOptions options);
@@ -48,9 +50,9 @@ class SpringPathMatcher {
   /// Reports a still-pending candidate at stream end.
   bool Flush(PathMatch* match);
 
-  bool has_best() const { return has_best_; }
-  Match best() const { return best_; }
-  int64_t ticks_processed() const { return t_; }
+  bool has_best() const { return state_.has_best; }
+  Match best() const { return state_.best; }
+  int64_t ticks_processed() const { return state_.t; }
   int64_t query_length() const {
     return static_cast<int64_t>(query_.size());
   }
@@ -73,11 +75,12 @@ class SpringPathMatcher {
   int64_t NewNode(int64_t parent, int64_t t, int32_t i);
   void Ref(int64_t node);
   void Unref(int64_t node);
-  void ExtractPath(int64_t node, std::vector<dtw::PathStep>* path) const;
-  void FillMatch(int64_t report_time, PathMatch* match) const;
+  /// Fills `*out` (may be null) with `match` and the pending candidate's
+  /// path, then releases the candidate's pin.
+  void EmitCandidate(const Match& match, PathMatch* out);
 
   std::vector<double> query_;
-  SpringOptions options_;
+  SpringState state_;
 
   std::vector<double> d_;
   std::vector<double> d_prev_;
@@ -90,16 +93,7 @@ class SpringPathMatcher {
   int64_t free_head_ = -1;
   int64_t live_nodes_ = 0;
 
-  int64_t t_ = 0;
-  bool has_candidate_ = false;
-  double dmin_ = 0.0;
-  int64_t ts_ = 0;
-  int64_t te_ = 0;
-  int64_t candidate_node_ = -1;
-  int64_t group_start_ = 0;
-  int64_t group_end_ = 0;
-  bool has_best_ = false;
-  Match best_;
+  int64_t candidate_node_ = -1;  // Pinned path of the pending candidate.
 };
 
 }  // namespace core

@@ -24,10 +24,13 @@ namespace core {
 /// subsequences (group_start / group_end), which is what the mocap
 /// experiment displays per motion.
 ///
-/// Complexity: O(k*m) time per tick, O(m) extra space beyond the query.
+/// Complexity: O(k*m) time per tick, O(m) extra space beyond the query. A
+/// one-query façade over the shared kernel (core/spring_kernel.h) with the
+/// k-dim row distance policy.
 class VectorSpringMatcher {
  public:
-  /// `query` has m >= 1 ticks of k >= 1 channels each.
+  /// `query` has m >= 1 ticks of k >= 1 channels each; its values and
+  /// `options` must pass ValidateSpringQuery (CHECK-enforced).
   VectorSpringMatcher(ts::VectorSeries query, SpringOptions options);
 
   /// Processes the next tick, a span of exactly dims() values. Returns true
@@ -37,21 +40,21 @@ class VectorSpringMatcher {
   /// Reports a still-pending candidate at stream end.
   bool Flush(Match* match);
 
-  bool has_best() const { return has_best_; }
-  Match best() const { return best_; }
-  int64_t ticks_processed() const { return t_; }
-  bool has_pending_candidate() const { return has_candidate_; }
+  bool has_best() const { return state_.has_best; }
+  Match best() const { return state_.best; }
+  int64_t ticks_processed() const { return state_.t; }
+  bool has_pending_candidate() const { return state_.has_candidate; }
 
   /// Observability accessors — see SpringMatcher for semantics.
-  double best_distance() const { return best_.distance; }
-  double candidate_distance() const { return dmin_; }
-  int64_t candidate_start() const { return ts_; }
-  int64_t candidate_end() const { return te_; }
-  int64_t cells_pruned_total() const { return cells_pruned_; }
+  double best_distance() const { return state_.best.distance; }
+  double candidate_distance() const { return state_.dmin; }
+  int64_t candidate_start() const { return state_.ts; }
+  int64_t candidate_end() const { return state_.te; }
+  int64_t cells_pruned_total() const { return state_.cells_pruned; }
 
   int64_t dims() const { return query_.dims(); }
   int64_t query_length() const { return query_.size(); }
-  const SpringOptions& options() const { return options_; }
+  const SpringOptions& options() const { return state_.options; }
 
   /// Discards all stream state (keeps the query).
   void Reset();
@@ -69,29 +72,13 @@ class VectorSpringMatcher {
 
  private:
   ts::VectorSeries query_;
-  SpringOptions options_;
-
+  SpringState state_;
+  // STWM rows with the star-padding row at index 0, as in SpringMatcher;
+  // the live row is in the prev_ buffers between ticks.
   std::vector<double> d_;
   std::vector<double> d_prev_;
   std::vector<int64_t> s_;
   std::vector<int64_t> s_prev_;
-
-  int64_t t_ = 0;
-  bool has_candidate_ = false;
-  double dmin_ = 0.0;
-  int64_t ts_ = 0;
-  int64_t te_ = 0;
-  int64_t group_start_ = 0;
-  int64_t group_end_ = 0;
-  bool has_best_ = false;
-  Match best_;
-
-  // Observability: cells discarded by the length-constraint pruning.
-  int64_t cells_pruned_ = 0;
-
-  // End of the most recently reported match, for the debug-gated
-  // disjointness invariant check. See SpringMatcher::last_report_end_.
-  int64_t last_report_end_ = -1;
 };
 
 }  // namespace core

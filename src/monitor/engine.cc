@@ -40,7 +40,7 @@ const char* SpaceName(bool vector_space) {
 }  // namespace
 
 int64_t MonitorEngine::AddStream(std::string name, bool repair_missing) {
-  StreamEntry entry;
+  ScalarStream entry;
   entry.name = std::move(name);
   entry.repair_missing = repair_missing;
   if (obs_ != nullptr) {
@@ -54,6 +54,30 @@ int64_t MonitorEngine::AddStream(std::string name, bool repair_missing) {
   return static_cast<int64_t>(streams_.size()) - 1;
 }
 
+template <typename Stream>
+int64_t MonitorEngine::AttachQuery(Stream& stream,
+                                   std::vector<QueryEntry>& queries,
+                                   int64_t stream_id, std::string name,
+                                   int64_t pool_index,
+                                   obs::TraceSpace space) {
+  const int64_t query_id = static_cast<int64_t>(queries.size());
+  QueryEntry entry;
+  entry.stream_id = stream_id;
+  entry.name = std::move(name);
+  entry.pool_index = pool_index;
+  if (obs_ != nullptr) {
+    entry.obs = ResolveQueryObs(stream.name, entry.name,
+                                space == obs::TraceSpace::kVector);
+  }
+  queries.push_back(std::move(entry));
+  stream.query_ids.push_back(query_id);
+  if (obs_queries_ != nullptr) {
+    obs_queries_->Set(
+        static_cast<double>(num_active_queries() + num_vector_queries()));
+  }
+  return query_id;
+}
+
 util::StatusOr<int64_t> MonitorEngine::AddQuery(
     int64_t stream_id, std::string name, std::vector<double> query,
     const core::SpringOptions& options) {
@@ -61,34 +85,11 @@ util::StatusOr<int64_t> MonitorEngine::AddQuery(
     return util::NotFoundError(
         util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
   }
-  if (query.empty()) {
-    return util::InvalidArgumentError("empty query");
-  }
-  for (const double y : query) {
-    if (ts::IsMissing(y)) {
-      return util::InvalidArgumentError(
-          "query contains missing values; repair it first");
-    }
-  }
-  const int64_t query_id = static_cast<int64_t>(queries_.size());
-  StreamEntry& stream = streams_[static_cast<size_t>(stream_id)];
-  QueryEntry entry;
-  entry.stream_id = stream_id;
-  entry.name = std::move(name);
-  if (options_.batch_queries) {
-    entry.pool_index = stream.pool.AddQuery(std::move(query), options);
-  } else {
-    entry.matcher.emplace(std::move(query), options);
-  }
-  queries_.push_back(std::move(entry));
-  stream.query_ids.push_back(query_id);
-  if (obs_ != nullptr) {
-    queries_.back().obs = ResolveQueryObs(stream.name, queries_.back().name,
-                                          /*vector_space=*/false);
-    obs_queries_->Set(
-        static_cast<double>(num_active_queries() + num_vector_queries()));
-  }
-  return query_id;
+  SPRINGDTW_RETURN_IF_ERROR(core::ValidateSpringQuery(query, options));
+  ScalarStream& stream = streams_[static_cast<size_t>(stream_id)];
+  const int64_t index = stream.pool.AddQuery(std::move(query), options);
+  return AttachQuery(stream, queries_, stream_id, std::move(name), index,
+                     obs::TraceSpace::kScalar);
 }
 
 util::StatusOr<int64_t> MonitorEngine::AddQueryFromSnapshot(
@@ -97,27 +98,12 @@ util::StatusOr<int64_t> MonitorEngine::AddQueryFromSnapshot(
     return util::NotFoundError(
         util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
   }
-  auto matcher = core::SpringMatcher::DeserializeState(snapshot);
-  if (!matcher.ok()) return matcher.status();
-  const int64_t query_id = static_cast<int64_t>(queries_.size());
-  StreamEntry& stream = streams_[static_cast<size_t>(stream_id)];
-  QueryEntry entry;
-  entry.stream_id = stream_id;
-  entry.name = std::move(name);
-  if (options_.batch_queries) {
-    entry.pool_index = stream.pool.AdoptMatcher(*matcher);
-  } else {
-    entry.matcher = std::move(*matcher);
-  }
-  queries_.push_back(std::move(entry));
-  stream.query_ids.push_back(query_id);
-  if (obs_ != nullptr) {
-    queries_.back().obs = ResolveQueryObs(stream.name, queries_.back().name,
-                                          /*vector_space=*/false);
-    obs_queries_->Set(
-        static_cast<double>(num_active_queries() + num_vector_queries()));
-  }
-  return query_id;
+  ScalarStream& stream = streams_[static_cast<size_t>(stream_id)];
+  const util::StatusOr<int64_t> index =
+      stream.pool.AddQueryFromSnapshot(snapshot);
+  if (!index.ok()) return index.status();
+  return AttachQuery(stream, queries_, stream_id, std::move(name), *index,
+                     obs::TraceSpace::kScalar);
 }
 
 std::vector<uint8_t> MonitorEngine::SerializeQueryState(
@@ -125,12 +111,8 @@ std::vector<uint8_t> MonitorEngine::SerializeQueryState(
   SPRINGDTW_CHECK(query_id >= 0 && query_id < num_queries());
   const QueryEntry& query = queries_[static_cast<size_t>(query_id)];
   SPRINGDTW_CHECK(!query.removed) << "query was removed";
-  if (options_.batch_queries) {
-    return streams_[static_cast<size_t>(query.stream_id)]
-        .pool.ToMatcher(query.pool_index)
-        .SerializeState();
-  }
-  return query.matcher->SerializeState();
+  return streams_[static_cast<size_t>(query.stream_id)].pool.SerializeQuery(
+      query.pool_index);
 }
 
 void MonitorEngine::AddSink(MatchSink* sink) {
@@ -158,67 +140,26 @@ util::StatusOr<int64_t> MonitorEngine::RemoveQuery(int64_t query_id) {
         util::StrFormat("no query %lld", static_cast<long long>(query_id)));
   }
   QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-  StreamEntry& stream = streams_[static_cast<size_t>(query.stream_id)];
+  ScalarStream& stream = streams_[static_cast<size_t>(query.stream_id)];
 
   core::Match match;
-  bool has_flush = false;
-  if (options_.batch_queries) {
-    has_flush = stream.pool.RemoveQuery(query.pool_index, &match);
-    // The pool compacted: every later slot shifted down by one, and
-    // query_ids[k] must keep matching pool slot k (the erase below
-    // preserves that alignment).
-    for (const int64_t other_id : stream.query_ids) {
-      QueryEntry& other = queries_[static_cast<size_t>(other_id)];
-      if (other.pool_index > query.pool_index) --other.pool_index;
-    }
-  } else {
-    const core::SpringMatcher& matcher = *query.matcher;
-    if (matcher.has_pending_candidate() &&
-        matcher.candidate_distance() <= matcher.options().epsilon) {
-      // Same report-eligibility scan a tick would run (rows 1..m; the star
-      // row d = 0 is exempt there too).
-      const std::span<const double> d = matcher.LastRowDistances();
-      const std::span<const int64_t> s = matcher.LastRowStarts();
-      const double dmin = matcher.candidate_distance();
-      const int64_t te = matcher.candidate_end();
-      bool can_report = true;
-      for (size_t i = 1; i < d.size(); ++i) {
-        if (d[i] < dmin && s[i] <= te) {
-          can_report = false;
-          break;
-        }
-      }
-      if (can_report) {
-        match.start = matcher.candidate_start();
-        match.end = te;
-        match.distance = dmin;
-        match.report_time = matcher.ticks_processed();
-        match.group_start = matcher.candidate_group_start();
-        match.group_end = matcher.candidate_group_end();
-        has_flush = true;
-      }
-    }
+  const bool has_flush = stream.pool.RemoveQuery(query.pool_index, &match);
+  // The pool compacted: every later slot shifted down by one, and
+  // query_ids[k] must keep matching pool slot k (the erase below
+  // preserves that alignment).
+  for (const int64_t other_id : stream.query_ids) {
+    QueryEntry& other = queries_[static_cast<size_t>(other_id)];
+    if (other.pool_index > query.pool_index) --other.pool_index;
   }
-
-  int64_t flushed = 0;
   if (has_flush) {
-    ++query.stats.matches;
-    query.stats.output_delay.Add(
-        static_cast<double>(match.report_time - match.end));
-    if (obs_ != nullptr) {
-      query.obs.candidates_flushed->Increment();
-      ObserveMatch(query, query_id, obs::TraceSpace::kScalar, match,
-                   obs::TraceEventKind::kCandidateFlushed);
-    }
-    Dispatch(query, match);
-    flushed = 1;
+    Deliver(query, query_id, obs::TraceSpace::kScalar, match,
+            obs::TraceEventKind::kCandidateFlushed);
   }
 
   // Tombstone rather than erase: ids stay stable for callers and sinks,
   // stats survive, only the matcher state goes away.
   std::vector<int64_t>& ids = stream.query_ids;
   ids.erase(std::find(ids.begin(), ids.end(), query_id));
-  query.matcher.reset();
   query.pool_index = -1;
   query.removed = true;
   query.obs = QueryObs{};
@@ -226,151 +167,132 @@ util::StatusOr<int64_t> MonitorEngine::RemoveQuery(int64_t query_id) {
     obs_queries_->Set(
         static_cast<double>(num_active_queries() + num_vector_queries()));
   }
-  return flushed;
+  return has_flush ? 1 : 0;
 }
 
-void MonitorEngine::Dispatch(const QueryEntry& query,
-                             const core::Match& match) {
+void MonitorEngine::Deliver(QueryEntry& query, int64_t query_id,
+                            obs::TraceSpace space, const core::Match& match,
+                            obs::TraceEventKind kind) {
+  const int64_t delay = match.report_time - match.end;
+  ++query.stats.matches;
+  query.stats.output_delay.Add(static_cast<double>(delay));
+  if (obs_ != nullptr) {
+    if (kind == obs::TraceEventKind::kCandidateFlushed) {
+      query.obs.candidates_flushed->Increment();
+    }
+    query.obs.matches->Increment();
+    query.obs.report_delay->Observe(static_cast<double>(delay));
+    Trace(kind, space, match.report_time, query, query_id, match.start,
+          match.end, match.distance, delay);
+  }
   MatchOrigin origin;
   origin.stream_id = query.stream_id;
-  origin.query_id = &query - queries_.data();
-  origin.stream_name = streams_[static_cast<size_t>(query.stream_id)].name;
+  origin.query_id = query_id;
+  const size_t stream = static_cast<size_t>(query.stream_id);
+  origin.stream_name = space == obs::TraceSpace::kVector
+                           ? vector_streams_[stream].name
+                           : streams_[stream].name;
   origin.query_name = query.name;
   for (MatchSink* sink : sinks_) sink->OnMatch(origin, match);
 }
 
-util::StatusOr<int64_t> MonitorEngine::Push(int64_t stream_id, double value) {
-  if (stream_id < 0 || stream_id >= num_streams()) {
-    return util::NotFoundError(
-        util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
-  }
-  StreamEntry& stream = streams_[static_cast<size_t>(stream_id)];
-  if (stream.repair_missing) {
-    if (!stream.repairer_seeded && !ts::IsMissing(value)) {
-      stream.repairer = ts::StreamingRepairer(value);
-      stream.repairer_seeded = true;
-    }
-    value = stream.repairer.Next(value);
-  } else if (ts::IsMissing(value)) {
-    return util::InvalidArgumentError(
-        "missing value pushed to a stream with repair disabled");
-  }
+void MonitorEngine::Trace(obs::TraceEventKind kind, obs::TraceSpace space,
+                          int64_t tick, const QueryEntry& query,
+                          int64_t query_id, int64_t start, int64_t end,
+                          double distance, int64_t report_delay) {
+  if (!obs_->trace().enabled()) return;
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.space = space;
+  event.tick = tick;
+  event.stream_id = query.stream_id;
+  event.query_id = query_id;
+  event.start = start;
+  event.end = end;
+  event.distance = distance;
+  event.report_delay = report_delay;
+  obs_->trace().Record(event);
+}
 
-  // Clock reads only when someone consumes them: the legacy latency
-  // histogram or an attached observability bundle.
-  const bool timed = track_latency_ || obs_ != nullptr;
-  int64_t start_nanos = 0;
-  if (timed) start_nanos = util::Stopwatch::NowNanos();
+void MonitorEngine::ObservedSignals::CandidateOpened(
+    int64_t index, const core::SpringState& state) {
+  const int64_t query_id = (*query_ids)[static_cast<size_t>(index)];
+  QueryEntry& query = (*queries)[static_cast<size_t>(query_id)];
+  query.obs.candidates_opened->Increment();
+  engine->Trace(obs::TraceEventKind::kCandidateOpened, space, state.t - 1,
+                query, query_id, state.ts, state.te, state.dmin);
+}
+
+void MonitorEngine::ObservedSignals::BestImproved(
+    int64_t index, const core::SpringState& state) {
+  const int64_t query_id = (*query_ids)[static_cast<size_t>(index)];
+  QueryEntry& query = (*queries)[static_cast<size_t>(query_id)];
+  query.obs.best_improvements->Increment();
+  engine->Trace(obs::TraceEventKind::kBestImproved, space, state.t - 1,
+                query, query_id, state.best.start, state.best.end,
+                state.best.distance);
+}
+
+template <typename Stream>
+int64_t MonitorEngine::Ingest(Stream& stream,
+                              std::vector<QueryEntry>& queries,
+                              obs::TraceSpace space,
+                              std::span<const double> values) {
+  const int64_t ticks =
+      static_cast<int64_t>(values.size()) / stream.pool.dims();
+  if (ticks == 0) return 0;
+  // The cost sampler times 1 in every cost_sample_every runs and
+  // attributes the measurement with that multiplier. Without cost
+  // sampling, an attached bundle times every run so the push-latency
+  // histogram stays exact for metrics-only embedders.
   const bool cost_sampled =
       options_.cost_sample_every > 0 &&
       (stream.cost_push_calls++ %
        static_cast<uint64_t>(options_.cost_sample_every)) == 0;
-  int64_t cost_start = 0;
-  if (cost_sampled) cost_start = util::Stopwatch::NowNanos();
+  const bool timed = track_latency_ || cost_sampled ||
+                     (obs_ != nullptr && options_.cost_sample_every <= 0);
+  int64_t start_nanos = 0;
+  if (timed) start_nanos = util::Stopwatch::NowNanos();
 
-  int64_t reported = 0;
-  core::Match match;
-  if (options_.batch_queries) {
-    core::SpringBatchPool& pool = stream.pool;
-    if (obs_ != nullptr) stream.obs_pushes->Increment();
-    pre_update_scratch_.clear();
-    for (const int64_t query_id : stream.query_ids) {
-      QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-      ++query.stats.ticks;
-      if (obs_ != nullptr) {
-        query.obs.ticks->Increment();
-        pre_update_scratch_.push_back(
-            PreUpdate{pool.has_pending_candidate(query.pool_index),
-                      pool.has_best(query.pool_index),
-                      pool.best_distance(query.pool_index)});
-      }
-    }
-    batch_reports_.clear();
-    pool.Update(value, &batch_reports_);
-    if (obs_ == nullptr) {
-      for (const core::SpringBatchPool::Report& report : batch_reports_) {
-        const int64_t query_id =
-            stream.query_ids[static_cast<size_t>(report.query_index)];
-        QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-        ++query.stats.matches;
-        query.stats.output_delay.Add(static_cast<double>(
-            report.match.report_time - report.match.end));
-        Dispatch(query, report.match);
-        ++reported;
-      }
-    } else {
-      size_t next_report = 0;
-      for (size_t k = 0; k < stream.query_ids.size(); ++k) {
-        const int64_t query_id = stream.query_ids[k];
-        QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-        const bool reported_here =
-            next_report < batch_reports_.size() &&
-            batch_reports_[next_report].query_index == query.pool_index;
-        const PreUpdate& pre = pre_update_scratch_[k];
-        ObserveUpdate(core::PoolQueryView(pool, query.pool_index), query,
-                      query_id, obs::TraceSpace::kScalar, pre.had_candidate,
-                      pre.had_best, pre.prev_best, reported_here);
-        if (reported_here) {
-          const core::Match& reported_match =
-              batch_reports_[next_report++].match;
-          ++query.stats.matches;
-          query.stats.output_delay.Add(static_cast<double>(
-              reported_match.report_time - reported_match.end));
-          ObserveMatch(query, query_id, obs::TraceSpace::kScalar,
-                       reported_match, obs::TraceEventKind::kMatchReported);
-          Dispatch(query, reported_match);
-          ++reported;
-        }
-      }
-    }
-  } else if (obs_ == nullptr) {
-    for (const int64_t query_id : stream.query_ids) {
-      QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-      ++query.stats.ticks;
-      if (query.matcher->Update(value, &match)) {
-        ++query.stats.matches;
-        query.stats.output_delay.Add(
-            static_cast<double>(match.report_time - match.end));
-        Dispatch(query, match);
-        ++reported;
-      }
-    }
+  if (obs_ != nullptr) stream.obs_pushes->Increment(ticks);
+  for (const int64_t query_id : stream.query_ids) {
+    QueryEntry& query = queries[static_cast<size_t>(query_id)];
+    query.stats.ticks += ticks;
+    if (obs_ != nullptr) query.obs.ticks->Increment(ticks);
+  }
+  batch_reports_.clear();
+  if (obs_ == nullptr) {
+    stream.pool.PushBatch(values, &batch_reports_);
   } else {
-    stream.obs_pushes->Increment();
-    for (const int64_t query_id : stream.query_ids) {
-      QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-      ++query.stats.ticks;
-      query.obs.ticks->Increment();
-      const bool had_candidate = query.matcher->has_pending_candidate();
-      const bool had_best = query.matcher->has_best();
-      const double prev_best = query.matcher->best_distance();
-      const bool reported_here = query.matcher->Update(value, &match);
-      ObserveUpdate(*query.matcher, query, query_id, obs::TraceSpace::kScalar,
-                    had_candidate, had_best, prev_best, reported_here);
-      if (reported_here) {
-        ++query.stats.matches;
-        query.stats.output_delay.Add(
-            static_cast<double>(match.report_time - match.end));
-        ObserveMatch(query, query_id, obs::TraceSpace::kScalar, match,
-                     obs::TraceEventKind::kMatchReported);
-        Dispatch(query, match);
-        ++reported;
-      }
-    }
+    stream.pool.PushBatch(
+        values, &batch_reports_,
+        ObservedSignals{this, &stream.query_ids, &queries, space});
+  }
+  for (const core::SpringPoolReport& report : batch_reports_) {
+    const int64_t query_id =
+        stream.query_ids[static_cast<size_t>(report.query_index)];
+    Deliver(queries[static_cast<size_t>(query_id)], query_id, space,
+            report.match, obs::TraceEventKind::kMatchReported);
   }
 
-  if (cost_sampled) {
-    AccumulateCost(stream, util::Stopwatch::NowNanos() - cost_start,
-                   options_.cost_sample_every);
-  }
   if (timed) {
-    const double nanos =
-        static_cast<double>(util::Stopwatch::NowNanos() - start_nanos);
-    if (track_latency_) push_latency_nanos_.Add(nanos);
-    if (obs_ != nullptr) obs_push_latency_->Observe(nanos);
+    // One sample for the whole run; per-value latency is not observable
+    // inside a run.
+    const int64_t elapsed = util::Stopwatch::NowNanos() - start_nanos;
+    if (track_latency_) push_latency_nanos_.Add(static_cast<double>(elapsed));
+    if (obs_ != nullptr) {
+      obs_push_latency_->Observe(static_cast<double>(elapsed));
+    }
+    if (cost_sampled) {
+      AccumulateCost(stream, queries, elapsed, options_.cost_sample_every);
+    }
   }
-  if (obs_ != nullptr) MaybeReport();
-  return reported;
+  if (obs_ != nullptr) MaybeReport(ticks);
+  return static_cast<int64_t>(batch_reports_.size());
+}
+
+util::StatusOr<int64_t> MonitorEngine::Push(int64_t stream_id, double value) {
+  return PushBatch(stream_id, std::span<const double>(&value, 1));
 }
 
 util::StatusOr<int64_t> MonitorEngine::PushBatch(
@@ -379,39 +301,13 @@ util::StatusOr<int64_t> MonitorEngine::PushBatch(
     return util::NotFoundError(
         util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
   }
-  // Per-tick fallback: the only path in per-matcher mode, and the exact
-  // path with a bundle attached (per-tick metrics and trace events) —
-  // unless batch_with_obs keeps the pool run and trades the per-tick
-  // candidate signals for throughput.
-  if (!options_.batch_queries ||
-      (obs_ != nullptr && !options_.batch_with_obs)) {
-    int64_t reported = 0;
-    for (const double value : values) {
-      auto pushed = Push(stream_id, value);
-      if (!pushed.ok()) return pushed;
-      reported += *pushed;
-    }
-    return reported;
-  }
-
-  StreamEntry& stream = streams_[static_cast<size_t>(stream_id)];
-  // Mirror the Push error contract: with repair disabled, values before the
-  // first NaN are processed, then the push fails.
-  size_t count = values.size();
+  ScalarStream& stream = streams_[static_cast<size_t>(stream_id)];
+  std::span<const double> run = values;
   bool missing_error = false;
-  if (!stream.repair_missing) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (ts::IsMissing(values[i])) {
-        count = i;
-        missing_error = true;
-        break;
-      }
-    }
-  }
-
-  // Repair into the scratch buffer so the pool sees the post-repair stream.
-  batch_values_.assign(values.begin(), values.begin() + count);
   if (stream.repair_missing) {
+    // Repair into the scratch buffer so the pool sees the post-repair
+    // stream.
+    batch_values_.assign(values.begin(), values.end());
     for (double& value : batch_values_) {
       if (!stream.repairer_seeded && !ts::IsMissing(value)) {
         stream.repairer = ts::StreamingRepairer(value);
@@ -419,63 +315,17 @@ util::StatusOr<int64_t> MonitorEngine::PushBatch(
       }
       value = stream.repairer.Next(value);
     }
+    run = batch_values_;
+  } else {
+    // With repair disabled, values before the first NaN are processed,
+    // then the push fails.
+    const auto missing =
+        std::find_if(values.begin(), values.end(), ts::IsMissing);
+    missing_error = missing != values.end();
+    run = values.first(static_cast<size_t>(missing - values.begin()));
   }
-
-  // On the batched path the cost sampler times whole runs, 1 in every
-  // cost_sample_every (the same per-stream counter the scalar path uses for
-  // ticks), and attributes the measurement with that multiplier. Steady-
-  // state batched ingest therefore pays for two clock reads only on sampled
-  // runs. Without cost sampling, an attached bundle still times every run
-  // so the push-latency histogram stays exact for metrics-only embedders.
-  const bool cost_sampled =
-      options_.cost_sample_every > 0 &&
-      (stream.cost_push_calls++ %
-       static_cast<uint64_t>(options_.cost_sample_every)) == 0;
-  const bool timed =
-      track_latency_ || cost_sampled ||
-      (obs_ != nullptr && options_.cost_sample_every <= 0);
-  int64_t start_nanos = 0;
-  if (timed) start_nanos = util::Stopwatch::NowNanos();
-
-  if (obs_ != nullptr && count > 0) {
-    stream.obs_pushes->Increment(static_cast<int64_t>(count));
-  }
-  for (const int64_t query_id : stream.query_ids) {
-    QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-    query.stats.ticks += static_cast<int64_t>(count);
-    if (obs_ != nullptr && count > 0) {
-      query.obs.ticks->Increment(static_cast<int64_t>(count));
-    }
-  }
-  batch_reports_.clear();
-  const int64_t reported = stream.pool.PushBatch(batch_values_,
-                                                 &batch_reports_);
-  for (const core::SpringBatchPool::Report& report : batch_reports_) {
-    const int64_t query_id =
-        stream.query_ids[static_cast<size_t>(report.query_index)];
-    QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-    ++query.stats.matches;
-    query.stats.output_delay.Add(
-        static_cast<double>(report.match.report_time - report.match.end));
-    if (obs_ != nullptr) {
-      ObserveMatch(query, query_id, obs::TraceSpace::kScalar, report.match,
-                   obs::TraceEventKind::kMatchReported);
-    }
-    Dispatch(query, report.match);
-  }
-
-  if (timed) {
-    const int64_t elapsed = util::Stopwatch::NowNanos() - start_nanos;
-    // One sample for the whole run; per-value latency is not observable on
-    // the batched path.
-    if (track_latency_) push_latency_nanos_.Add(static_cast<double>(elapsed));
-    if (obs_ != nullptr) {
-      obs_push_latency_->Observe(static_cast<double>(elapsed));
-    }
-    if (cost_sampled) {
-      AccumulateCost(stream, elapsed, options_.cost_sample_every);
-    }
-  }
+  const int64_t reported =
+      Ingest(stream, queries_, obs::TraceSpace::kScalar, run);
   if (missing_error) {
     return util::InvalidArgumentError(
         "missing value pushed to a stream with repair disabled");
@@ -485,9 +335,9 @@ util::StatusOr<int64_t> MonitorEngine::PushBatch(
 
 int64_t MonitorEngine::AddVectorStream(std::string name, int64_t dims) {
   SPRINGDTW_CHECK_GE(dims, 1);
-  VectorStreamEntry entry;
+  VectorStream entry;
   entry.name = std::move(name);
-  entry.dims = dims;
+  entry.pool = core::VectorSpringPool(dims);
   if (obs_ != nullptr) {
     entry.obs_pushes = ResolvePushCounter(entry.name, /*vector_space=*/true);
   }
@@ -506,46 +356,17 @@ util::StatusOr<int64_t> MonitorEngine::AddVectorQuery(
     return util::NotFoundError(util::StrFormat(
         "no vector stream %lld", static_cast<long long>(stream_id)));
   }
-  VectorStreamEntry& stream = vector_streams_[static_cast<size_t>(stream_id)];
-  if (query.empty()) {
-    return util::InvalidArgumentError("empty vector query");
-  }
-  if (query.dims() != stream.dims) {
+  VectorStream& stream = vector_streams_[static_cast<size_t>(stream_id)];
+  if (query.dims() != stream.pool.dims()) {
     return util::InvalidArgumentError(util::StrFormat(
         "query has %lld channels, stream has %lld",
         static_cast<long long>(query.dims()),
-        static_cast<long long>(stream.dims)));
+        static_cast<long long>(stream.pool.dims())));
   }
-  for (const double v : query.data()) {
-    if (ts::IsMissing(v)) {
-      return util::InvalidArgumentError(
-          "vector query contains missing values; repair it first");
-    }
-  }
-  const int64_t query_id = static_cast<int64_t>(vector_queries_.size());
-  vector_queries_.push_back(VectorQueryEntry{
-      stream_id, std::move(name),
-      core::VectorSpringMatcher(std::move(query), options), QueryStats{},
-      QueryObs{}});
-  stream.query_ids.push_back(query_id);
-  if (obs_ != nullptr) {
-    vector_queries_.back().obs = ResolveQueryObs(
-        stream.name, vector_queries_.back().name, /*vector_space=*/true);
-    obs_queries_->Set(
-        static_cast<double>(num_active_queries() + num_vector_queries()));
-  }
-  return query_id;
-}
-
-void MonitorEngine::DispatchVector(const VectorQueryEntry& query,
-                                   const core::Match& match) {
-  MatchOrigin origin;
-  origin.stream_id = query.stream_id;
-  origin.query_id = &query - vector_queries_.data();
-  origin.stream_name =
-      vector_streams_[static_cast<size_t>(query.stream_id)].name;
-  origin.query_name = query.name;
-  for (MatchSink* sink : sinks_) sink->OnMatch(origin, match);
+  SPRINGDTW_RETURN_IF_ERROR(core::ValidateSpringQuery(query.data(), options));
+  const int64_t index = stream.pool.AddQuery(std::move(query), options);
+  return AttachQuery(stream, vector_queries_, stream_id, std::move(name),
+                     index, obs::TraceSpace::kVector);
 }
 
 util::StatusOr<int64_t> MonitorEngine::PushRow(int64_t stream_id,
@@ -554,71 +375,17 @@ util::StatusOr<int64_t> MonitorEngine::PushRow(int64_t stream_id,
     return util::NotFoundError(util::StrFormat(
         "no vector stream %lld", static_cast<long long>(stream_id)));
   }
-  VectorStreamEntry& stream = vector_streams_[static_cast<size_t>(stream_id)];
-  if (static_cast<int64_t>(row.size()) != stream.dims) {
+  VectorStream& stream = vector_streams_[static_cast<size_t>(stream_id)];
+  if (static_cast<int64_t>(row.size()) != stream.pool.dims()) {
     return util::InvalidArgumentError(util::StrFormat(
         "row has %zu values, stream has %lld channels", row.size(),
-        static_cast<long long>(stream.dims)));
+        static_cast<long long>(stream.pool.dims())));
   }
-  for (const double v : row) {
-    if (ts::IsMissing(v)) {
-      return util::InvalidArgumentError(
-          "vector streams do not repair missing values; row has NaN");
-    }
+  if (std::any_of(row.begin(), row.end(), ts::IsMissing)) {
+    return util::InvalidArgumentError(
+        "vector streams do not repair missing values; row has NaN");
   }
-
-  const bool timed = track_latency_ || obs_ != nullptr;
-  int64_t start_nanos = 0;
-  if (timed) start_nanos = util::Stopwatch::NowNanos();
-
-  int64_t reported = 0;
-  core::Match match;
-  if (obs_ == nullptr) {
-    for (const int64_t query_id : stream.query_ids) {
-      VectorQueryEntry& query =
-          vector_queries_[static_cast<size_t>(query_id)];
-      ++query.stats.ticks;
-      if (query.matcher.Update(row, &match)) {
-        ++query.stats.matches;
-        query.stats.output_delay.Add(
-            static_cast<double>(match.report_time - match.end));
-        DispatchVector(query, match);
-        ++reported;
-      }
-    }
-  } else {
-    stream.obs_pushes->Increment();
-    for (const int64_t query_id : stream.query_ids) {
-      VectorQueryEntry& query =
-          vector_queries_[static_cast<size_t>(query_id)];
-      ++query.stats.ticks;
-      query.obs.ticks->Increment();
-      const bool had_candidate = query.matcher.has_pending_candidate();
-      const bool had_best = query.matcher.has_best();
-      const double prev_best = query.matcher.best_distance();
-      const bool reported_here = query.matcher.Update(row, &match);
-      ObserveUpdate(query.matcher, query, query_id, obs::TraceSpace::kVector,
-                    had_candidate, had_best, prev_best, reported_here);
-      if (reported_here) {
-        ++query.stats.matches;
-        query.stats.output_delay.Add(
-            static_cast<double>(match.report_time - match.end));
-        ObserveMatch(query, query_id, obs::TraceSpace::kVector, match,
-                     obs::TraceEventKind::kMatchReported);
-        DispatchVector(query, match);
-        ++reported;
-      }
-    }
-  }
-
-  if (timed) {
-    const double nanos =
-        static_cast<double>(util::Stopwatch::NowNanos() - start_nanos);
-    if (track_latency_) push_latency_nanos_.Add(nanos);
-    if (obs_ != nullptr) obs_push_latency_->Observe(nanos);
-  }
-  if (obs_ != nullptr) MaybeReport();
-  return reported;
+  return Ingest(stream, vector_queries_, obs::TraceSpace::kVector, row);
 }
 
 const QueryStats& MonitorEngine::vector_stats(int64_t query_id) const {
@@ -627,16 +394,14 @@ const QueryStats& MonitorEngine::vector_stats(int64_t query_id) const {
 }
 
 int64_t MonitorEngine::FlushAll() {
-  int64_t reported = 0;
-  core::Match match;
-  if (options_.batch_queries) {
-    // Pools flush per stream; collect and re-order so sinks see the same
-    // global query-id order the per-matcher loop produces.
+  // Pools flush per stream; deliver in query-id order, scalar space first.
+  const auto flush = [this](auto& streams, std::vector<QueryEntry>& queries,
+                            obs::TraceSpace space) {
     std::vector<std::pair<int64_t, core::Match>> flushed;
-    for (StreamEntry& stream : streams_) {
+    for (auto& stream : streams) {
       batch_reports_.clear();
       stream.pool.Flush(&batch_reports_);
-      for (const core::SpringBatchPool::Report& report : batch_reports_) {
+      for (const core::SpringPoolReport& report : batch_reports_) {
         flushed.emplace_back(
             stream.query_ids[static_cast<size_t>(report.query_index)],
             report.match);
@@ -644,55 +409,15 @@ int64_t MonitorEngine::FlushAll() {
     }
     std::sort(flushed.begin(), flushed.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [query_id, flushed_match] : flushed) {
-      QueryEntry& query = queries_[static_cast<size_t>(query_id)];
-      ++query.stats.matches;
-      query.stats.output_delay.Add(
-          static_cast<double>(flushed_match.report_time - flushed_match.end));
-      if (obs_ != nullptr) {
-        query.obs.candidates_flushed->Increment();
-        ObserveMatch(query, query_id, obs::TraceSpace::kScalar, flushed_match,
-                     obs::TraceEventKind::kCandidateFlushed);
-      }
-      Dispatch(query, flushed_match);
-      ++reported;
+    for (const auto& [query_id, match] : flushed) {
+      Deliver(queries[static_cast<size_t>(query_id)], query_id, space, match,
+              obs::TraceEventKind::kCandidateFlushed);
     }
-  } else {
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      QueryEntry& query = queries_[i];
-      if (query.removed) continue;
-      if (query.matcher->Flush(&match)) {
-        ++query.stats.matches;
-        query.stats.output_delay.Add(
-            static_cast<double>(match.report_time - match.end));
-        if (obs_ != nullptr) {
-          query.obs.candidates_flushed->Increment();
-          ObserveMatch(query, static_cast<int64_t>(i),
-                       obs::TraceSpace::kScalar, match,
-                       obs::TraceEventKind::kCandidateFlushed);
-        }
-        Dispatch(query, match);
-        ++reported;
-      }
-    }
-  }
-  for (size_t i = 0; i < vector_queries_.size(); ++i) {
-    VectorQueryEntry& query = vector_queries_[i];
-    if (query.matcher.Flush(&match)) {
-      ++query.stats.matches;
-      query.stats.output_delay.Add(
-          static_cast<double>(match.report_time - match.end));
-      if (obs_ != nullptr) {
-        query.obs.candidates_flushed->Increment();
-        ObserveMatch(query, static_cast<int64_t>(i),
-                     obs::TraceSpace::kVector, match,
-                     obs::TraceEventKind::kCandidateFlushed);
-      }
-      DispatchVector(query, match);
-      ++reported;
-    }
-  }
-  return reported;
+    return static_cast<int64_t>(flushed.size());
+  };
+  const int64_t scalar = flush(streams_, queries_, obs::TraceSpace::kScalar);
+  return scalar +
+         flush(vector_streams_, vector_queries_, obs::TraceSpace::kVector);
 }
 
 void MonitorEngine::AttachObservability(obs::Observability* obs) {
@@ -705,32 +430,27 @@ void MonitorEngine::AttachObservability(obs::Observability* obs) {
     obs_checkpoint_saves_ = nullptr;
     obs_checkpoint_restores_ = nullptr;
     obs_trace_dropped_ = nullptr;
-    for (StreamEntry& stream : streams_) stream.obs_pushes = nullptr;
-    for (VectorStreamEntry& stream : vector_streams_) {
-      stream.obs_pushes = nullptr;
-    }
+    for (ScalarStream& stream : streams_) stream.obs_pushes = nullptr;
+    for (VectorStream& stream : vector_streams_) stream.obs_pushes = nullptr;
     for (QueryEntry& query : queries_) query.obs = QueryObs{};
-    for (VectorQueryEntry& query : vector_queries_) query.obs = QueryObs{};
+    for (QueryEntry& query : vector_queries_) query.obs = QueryObs{};
     return;
   }
   ResolveEngineObs();
-  for (StreamEntry& stream : streams_) {
-    stream.obs_pushes = ResolvePushCounter(stream.name, false);
-  }
-  for (VectorStreamEntry& stream : vector_streams_) {
-    stream.obs_pushes = ResolvePushCounter(stream.name, true);
-  }
-  for (QueryEntry& query : queries_) {
-    if (query.removed) continue;
-    query.obs = ResolveQueryObs(
-        streams_[static_cast<size_t>(query.stream_id)].name, query.name,
-        false);
-  }
-  for (VectorQueryEntry& query : vector_queries_) {
-    query.obs = ResolveQueryObs(
-        vector_streams_[static_cast<size_t>(query.stream_id)].name,
-        query.name, true);
-  }
+  const auto resolve = [this](auto& streams, std::vector<QueryEntry>& queries,
+                              bool vector_space) {
+    for (auto& stream : streams) {
+      stream.obs_pushes = ResolvePushCounter(stream.name, vector_space);
+    }
+    for (QueryEntry& query : queries) {
+      if (query.removed) continue;
+      query.obs = ResolveQueryObs(
+          streams[static_cast<size_t>(query.stream_id)].name, query.name,
+          vector_space);
+    }
+  };
+  resolve(streams_, queries_, false);
+  resolve(vector_streams_, vector_queries_, true);
   obs_streams_->Set(static_cast<double>(num_streams() + num_vector_streams()));
   obs_queries_->Set(static_cast<double>(num_active_queries() + num_vector_queries()));
 }
@@ -800,73 +520,12 @@ MonitorEngine::QueryObs MonitorEngine::ResolveQueryObs(
   return handles;
 }
 
-template <typename MatcherLike, typename Entry>
-void MonitorEngine::ObserveUpdate(const MatcherLike& matcher, Entry& query,
-                                  int64_t query_id, obs::TraceSpace space,
-                                  bool had_candidate, bool had_best,
-                                  double prev_best, bool reported) {
-  // A report clears the pending candidate mid-Update, so after a report any
-  // pending candidate is a newly opened one.
-  if ((!had_candidate || reported) && matcher.has_pending_candidate()) {
-    query.obs.candidates_opened->Increment();
-    if (obs_->trace().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEventKind::kCandidateOpened;
-      event.space = space;
-      event.tick = matcher.ticks_processed() - 1;
-      event.stream_id = query.stream_id;
-      event.query_id = query_id;
-      event.start = matcher.candidate_start();
-      event.end = matcher.candidate_end();
-      event.distance = matcher.candidate_distance();
-      obs_->trace().Record(event);
-    }
-  }
-  if (matcher.has_best() &&
-      (!had_best || matcher.best_distance() < prev_best)) {
-    query.obs.best_improvements->Increment();
-    if (obs_->trace().enabled()) {
-      const core::Match best = matcher.best();
-      obs::TraceEvent event;
-      event.kind = obs::TraceEventKind::kBestImproved;
-      event.space = space;
-      event.tick = matcher.ticks_processed() - 1;
-      event.stream_id = query.stream_id;
-      event.query_id = query_id;
-      event.start = best.start;
-      event.end = best.end;
-      event.distance = best.distance;
-      obs_->trace().Record(event);
-    }
-  }
-}
-
-template <typename Entry>
-void MonitorEngine::ObserveMatch(Entry& query, int64_t query_id,
-                                 obs::TraceSpace space,
-                                 const core::Match& match,
-                                 obs::TraceEventKind kind) {
-  const int64_t delay = match.report_time - match.end;
-  query.obs.matches->Increment();
-  query.obs.report_delay->Observe(static_cast<double>(delay));
-  if (obs_->trace().enabled()) {
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.space = space;
-    event.tick = match.report_time;
-    event.stream_id = query.stream_id;
-    event.query_id = query_id;
-    event.start = match.start;
-    event.end = match.end;
-    event.distance = match.distance;
-    event.report_delay = delay;
-    obs_->trace().Record(event);
-  }
-}
-
-void MonitorEngine::MaybeReport() {
+void MonitorEngine::MaybeReport(int64_t ticks) {
   obs::StatsReporterSink* reporter = obs_->reporter();
-  if (reporter == nullptr || !reporter->Tick()) return;
+  if (reporter == nullptr) return;
+  bool due = false;
+  for (int64_t i = 0; i < ticks; ++i) due = reporter->Tick() || due;
+  if (!due) return;
   RefreshObservabilityGauges();
   reporter->Report(obs_->registry().Snapshot());
 }
@@ -881,47 +540,35 @@ void MonitorEngine::RefreshObservabilityGauges() {
     obs_trace_dropped_->Increment(dropped - trace_dropped_exported_);
     trace_dropped_exported_ = dropped;
   }
-  const auto refresh = [](auto& query, const auto& matcher) {
-    query.obs.candidate_pending->Set(
-        matcher.has_pending_candidate() ? 1.0 : 0.0);
-    const int64_t pruned = matcher.cells_pruned_total();
-    query.obs.cells_pruned->Increment(pruned -
-                                      query.obs.cells_pruned_exported);
-    query.obs.cells_pruned_exported = pruned;
-  };
-  for (QueryEntry& query : queries_) {
-    if (query.removed) continue;
-    if (options_.batch_queries) {
-      refresh(query, core::PoolQueryView(
-                         streams_[static_cast<size_t>(query.stream_id)].pool,
-                         query.pool_index));
-    } else {
-      refresh(query, *query.matcher);
+  const auto refresh = [](auto& streams, std::vector<QueryEntry>& queries) {
+    for (auto& stream : streams) {
+      for (size_t k = 0; k < stream.query_ids.size(); ++k) {
+        const core::SpringState& state =
+            stream.pool.state(static_cast<int64_t>(k));
+        QueryObs& handles =
+            queries[static_cast<size_t>(stream.query_ids[k])].obs;
+        handles.candidate_pending->Set(state.has_candidate ? 1.0 : 0.0);
+        handles.cells_pruned->Increment(state.cells_pruned -
+                                        handles.cells_pruned_exported);
+        handles.cells_pruned_exported = state.cells_pruned;
+      }
     }
-  }
-  for (VectorQueryEntry& query : vector_queries_) {
-    refresh(query, query.matcher);
-  }
+  };
+  refresh(streams_, queries_);
+  refresh(vector_streams_, vector_queries_);
 }
 
 int64_t MonitorEngine::PendingCandidateCount() const {
   int64_t pending = 0;
-  const auto count = [&pending](const auto& matcher) {
-    if (matcher.has_pending_candidate()) ++pending;
-  };
-  for (const QueryEntry& query : queries_) {
-    if (query.removed) continue;
-    if (options_.batch_queries) {
-      count(core::PoolQueryView(
-          streams_[static_cast<size_t>(query.stream_id)].pool,
-          query.pool_index));
-    } else {
-      count(*query.matcher);
+  const auto count = [&pending](const auto& streams) {
+    for (const auto& stream : streams) {
+      for (int64_t k = 0; k < stream.pool.num_queries(); ++k) {
+        if (stream.pool.state(k).has_candidate) ++pending;
+      }
     }
-  }
-  for (const VectorQueryEntry& query : vector_queries_) {
-    count(query.matcher);
-  }
+  };
+  count(streams_);
+  count(vector_streams_);
   return pending;
 }
 
@@ -930,27 +577,25 @@ const QueryStats& MonitorEngine::stats(int64_t query_id) const {
   return queries_[static_cast<size_t>(query_id)].stats;
 }
 
-void MonitorEngine::AccumulateCost(StreamEntry& stream, int64_t elapsed_nanos,
-                                   int64_t multiplier) {
+template <typename Stream>
+void MonitorEngine::AccumulateCost(const Stream& stream,
+                                   std::vector<QueryEntry>& queries,
+                                   int64_t elapsed_nanos, int64_t multiplier) {
   if (elapsed_nanos <= 0 || stream.query_ids.empty()) return;
   // Attribute by query length: one tick costs O(m) STWM cells per query,
   // so a stream-level measurement splits across its queries as m_i / sum_m.
-  const auto length_of = [&](const QueryEntry& query) {
-    return options_.batch_queries
-               ? stream.pool.query_length(query.pool_index)
-               : query.matcher->query_length();
-  };
   int64_t total_m = 0;
-  for (const int64_t id : stream.query_ids) {
-    total_m += length_of(queries_[static_cast<size_t>(id)]);
+  for (int64_t k = 0; k < stream.pool.num_queries(); ++k) {
+    total_m += stream.pool.query_length(k);
   }
   if (total_m <= 0) return;
   const double scaled = static_cast<double>(elapsed_nanos) *
                         static_cast<double>(multiplier);
-  for (const int64_t id : stream.query_ids) {
-    QueryEntry& query = queries_[static_cast<size_t>(id)];
+  for (size_t k = 0; k < stream.query_ids.size(); ++k) {
+    QueryEntry& query = queries[static_cast<size_t>(stream.query_ids[k])];
     query.est_cpu_nanos += static_cast<int64_t>(
-        scaled * static_cast<double>(length_of(query)) /
+        scaled *
+        static_cast<double>(stream.pool.query_length(static_cast<int64_t>(k))) /
         static_cast<double>(total_m));
   }
 }
@@ -959,11 +604,8 @@ int64_t MonitorEngine::QueryCellsComputed(int64_t query_id) const {
   SPRINGDTW_CHECK(query_id >= 0 && query_id < num_queries());
   const QueryEntry& query = queries_[static_cast<size_t>(query_id)];
   if (query.removed) return 0;
-  if (options_.batch_queries) {
-    return streams_[static_cast<size_t>(query.stream_id)]
-        .pool.cells_computed_total(query.pool_index);
-  }
-  return query.matcher->cells_computed_total();
+  return streams_[static_cast<size_t>(query.stream_id)]
+      .pool.cells_computed_total(query.pool_index);
 }
 
 int64_t MonitorEngine::QueryEstCpuNanos(int64_t query_id) const {
@@ -973,18 +615,9 @@ int64_t MonitorEngine::QueryEstCpuNanos(int64_t query_id) const {
 
 util::MemoryFootprint MonitorEngine::Footprint() const {
   util::MemoryFootprint fp;
-  if (options_.batch_queries) {
-    for (const StreamEntry& stream : streams_) {
-      fp.Merge(stream.pool.Footprint());
-    }
-  } else {
-    for (const QueryEntry& query : queries_) {
-      if (query.removed) continue;
-      fp.Merge(query.matcher->Footprint());
-    }
-  }
-  for (const VectorQueryEntry& query : vector_queries_) {
-    fp.Merge(query.matcher.Footprint());
+  for (const ScalarStream& stream : streams_) fp.Merge(stream.pool.Footprint());
+  for (const VectorStream& stream : vector_streams_) {
+    fp.Merge(stream.pool.Footprint());
   }
   return fp;
 }
@@ -1017,7 +650,7 @@ std::vector<uint8_t> MonitorEngine::SerializeState() const {
   writer.WriteU32(kEngineVersion);
 
   writer.WriteU64(streams_.size());
-  for (const StreamEntry& stream : streams_) {
+  for (const ScalarStream& stream : streams_) {
     writer.WriteString(stream.name);
     writer.WriteBool(stream.repair_missing);
     writer.WriteBool(stream.repairer_seeded);
@@ -1025,31 +658,28 @@ std::vector<uint8_t> MonitorEngine::SerializeState() const {
   }
   // Tombstoned (removed) queries are omitted, so restore produces a dense
   // engine and serialize -> restore -> serialize is byte-identical.
-  writer.WriteU64(static_cast<uint64_t>(num_active_queries()));
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    const QueryEntry& query = queries_[i];
-    if (query.removed) continue;
-    writer.WriteI64(query.stream_id);
-    writer.WriteString(query.name);
-    // SerializeQueryState emits identical bytes in both engine modes, so
-    // checkpoints are mode-portable.
-    writer.WriteBytes(SerializeQueryState(static_cast<int64_t>(i)));
-    WriteStats(&writer, query.stats);
-  }
+  const auto write_queries = [&writer](const auto& streams,
+                                       const std::vector<QueryEntry>& queries,
+                                       uint64_t count) {
+    writer.WriteU64(count);
+    for (const QueryEntry& query : queries) {
+      if (query.removed) continue;
+      writer.WriteI64(query.stream_id);
+      writer.WriteString(query.name);
+      writer.WriteBytes(streams[static_cast<size_t>(query.stream_id)]
+                            .pool.SerializeQuery(query.pool_index));
+      WriteStats(&writer, query.stats);
+    }
+  };
+  write_queries(streams_, queries_,
+                static_cast<uint64_t>(num_active_queries()));
 
   writer.WriteU64(vector_streams_.size());
-  for (const VectorStreamEntry& stream : vector_streams_) {
+  for (const VectorStream& stream : vector_streams_) {
     writer.WriteString(stream.name);
-    writer.WriteI64(stream.dims);
+    writer.WriteI64(stream.pool.dims());
   }
-  writer.WriteU64(vector_queries_.size());
-  for (const VectorQueryEntry& query : vector_queries_) {
-    writer.WriteI64(query.stream_id);
-    writer.WriteString(query.name);
-    const std::vector<uint8_t> snapshot = query.matcher.SerializeState();
-    writer.WriteBytes(snapshot);
-    WriteStats(&writer, query.stats);
-  }
+  write_queries(vector_streams_, vector_queries_, vector_queries_.size());
 
   writer.WriteBool(track_latency_);
   push_latency_nanos_.SerializeTo(&writer);
@@ -1105,7 +735,7 @@ util::Status MonitorEngine::RestoreState(std::span<const uint8_t> bytes) {
   uint64_t num_scalar_streams = 0;
   reader.ReadU64(&num_scalar_streams);
   for (uint64_t i = 0; reader.ok() && i < num_scalar_streams; ++i) {
-    StreamEntry stream;
+    ScalarStream stream;
     double last = 0.0;
     reader.ReadString(&stream.name);
     reader.ReadBool(&stream.repair_missing);
@@ -1115,83 +745,53 @@ util::Status MonitorEngine::RestoreState(std::span<const uint8_t> bytes) {
     streams_.push_back(std::move(stream));
   }
 
-  uint64_t num_scalar_queries = 0;
-  reader.ReadU64(&num_scalar_queries);
-  for (uint64_t i = 0; reader.ok() && i < num_scalar_queries; ++i) {
-    int64_t stream_id = 0;
-    std::string name;
-    std::span<const uint8_t> snapshot;
-    reader.ReadI64(&stream_id);
-    reader.ReadString(&name);
-    if (!reader.ReadBytesSpan(&snapshot)) {
-      return util::InvalidArgumentError("checkpoint truncated");
+  // Query records: stream id, name, the pool's query snapshot, stats.
+  const auto read_queries = [&](auto& streams,
+                                std::vector<QueryEntry>& queries,
+                                obs::TraceSpace space) -> util::Status {
+    uint64_t count = 0;
+    reader.ReadU64(&count);
+    for (uint64_t i = 0; reader.ok() && i < count; ++i) {
+      int64_t stream_id = 0;
+      std::string name;
+      std::span<const uint8_t> snapshot;
+      QueryStats stats;
+      reader.ReadI64(&stream_id);
+      reader.ReadString(&name);
+      if (!reader.ReadBytesSpan(&snapshot) || !ReadStats(&reader, &stats)) {
+        return util::InvalidArgumentError("checkpoint truncated");
+      }
+      if (stream_id < 0 || stream_id >= static_cast<int64_t>(streams.size())) {
+        return util::InvalidArgumentError("checkpoint query has bad stream");
+      }
+      auto& stream = streams[static_cast<size_t>(stream_id)];
+      const util::StatusOr<int64_t> index =
+          stream.pool.AddQueryFromSnapshot(snapshot);
+      if (!index.ok()) return index.status();
+      const int64_t query_id = AttachQuery(stream, queries, stream_id,
+                                           std::move(name), *index, space);
+      queries[static_cast<size_t>(query_id)].stats = stats;
     }
-    auto matcher = core::SpringMatcher::DeserializeState(snapshot);
-    if (!matcher.ok()) return matcher.status();
-    QueryStats stats;
-    if (!ReadStats(&reader, &stats)) {
-      return util::InvalidArgumentError("checkpoint stats truncated");
-    }
-    if (stream_id < 0 || stream_id >= num_streams()) {
-      return util::InvalidArgumentError("checkpoint query has bad stream");
-    }
-    QueryEntry entry;
-    entry.stream_id = stream_id;
-    entry.name = std::move(name);
-    entry.stats = stats;
-    if (options_.batch_queries) {
-      entry.pool_index =
-          streams_[static_cast<size_t>(stream_id)].pool.AdoptMatcher(
-              *matcher);
-    } else {
-      entry.matcher = std::move(*matcher);
-    }
-    queries_.push_back(std::move(entry));
-    streams_[static_cast<size_t>(stream_id)].query_ids.push_back(
-        static_cast<int64_t>(queries_.size()) - 1);
-  }
+    return util::Status::Ok();
+  };
+  SPRINGDTW_RETURN_IF_ERROR(
+      read_queries(streams_, queries_, obs::TraceSpace::kScalar));
 
   uint64_t num_vec_streams = 0;
   reader.ReadU64(&num_vec_streams);
   for (uint64_t i = 0; reader.ok() && i < num_vec_streams; ++i) {
-    VectorStreamEntry stream;
+    VectorStream stream;
+    int64_t dims = 0;
     reader.ReadString(&stream.name);
-    reader.ReadI64(&stream.dims);
-    if (stream.dims < 1) {
+    reader.ReadI64(&dims);
+    if (dims < 1) {
       return util::InvalidArgumentError("checkpoint vector stream corrupt");
     }
+    stream.pool = core::VectorSpringPool(dims);
     vector_streams_.push_back(std::move(stream));
   }
-
-  uint64_t num_vec_queries = 0;
-  reader.ReadU64(&num_vec_queries);
-  for (uint64_t i = 0; reader.ok() && i < num_vec_queries; ++i) {
-    int64_t stream_id = 0;
-    std::string name;
-    std::span<const uint8_t> snapshot;
-    reader.ReadI64(&stream_id);
-    reader.ReadString(&name);
-    if (!reader.ReadBytesSpan(&snapshot)) {
-      return util::InvalidArgumentError("checkpoint truncated");
-    }
-    auto matcher = core::VectorSpringMatcher::DeserializeState(snapshot);
-    if (!matcher.ok()) return matcher.status();
-    QueryStats stats;
-    if (!ReadStats(&reader, &stats)) {
-      return util::InvalidArgumentError("checkpoint stats truncated");
-    }
-    if (stream_id < 0 || stream_id >= num_vector_streams()) {
-      return util::InvalidArgumentError("checkpoint query has bad stream");
-    }
-    if (matcher->dims() !=
-        vector_streams_[static_cast<size_t>(stream_id)].dims) {
-      return util::InvalidArgumentError("checkpoint dims mismatch");
-    }
-    vector_queries_.push_back(VectorQueryEntry{
-        stream_id, std::move(name), std::move(*matcher), stats, QueryObs{}});
-    vector_streams_[static_cast<size_t>(stream_id)].query_ids.push_back(
-        static_cast<int64_t>(vector_queries_.size()) - 1);
-  }
+  SPRINGDTW_RETURN_IF_ERROR(
+      read_queries(vector_streams_, vector_queries_, obs::TraceSpace::kVector));
 
   if (version >= 2) {
     if (!reader.ReadBool(&track_latency_) ||

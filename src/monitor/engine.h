@@ -3,17 +3,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/spring.h"
 #include "core/spring_batch.h"
-#include "core/vector_spring.h"
 #include "monitor/sink.h"
 #include "obs/observability.h"
 #include "ts/repair.h"
+#include "ts/vector_series.h"
 #include "util/memory.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -33,27 +31,8 @@ struct QueryStats {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// When true, each scalar stream advances all of its queries through a
-  /// per-stream structure-of-arrays pool (core::SpringBatchPool) instead of
-  /// one SpringMatcher object per query — a single cache-friendly pass per
-  /// tick, and PushBatch() processes whole value runs query-major. Match
-  /// output, per-query stats, and checkpoints are bit-for-bit identical in
-  /// both modes (the differential oracle test enforces this); batching only
-  /// changes the memory layout. Vector streams always use per-query
-  /// matchers.
+  /// Unused; kept only because perfbench/ladder.cc still assigns them.
   bool batch_queries = false;
-
-  /// Keep PushBatch on the SoA pool path even with an observability bundle
-  /// attached. By default an attached bundle forces PushBatch through the
-  /// per-tick path so every per-tick signal (candidate/best counters, trace
-  /// events) stays exact; with this flag the batched run is preserved —
-  /// tick/push/match counters, report-delay histograms, and match trace
-  /// events stay exact (counted per run), cost accounting samples whole
-  /// runs on its usual cadence, and the per-tick candidate/best-improvement
-  /// signals are skipped for those runs. The
-  /// sharded monitor sets this for its shard engines: under ingest load the
-  /// per-tick fallback costs ~2x throughput, which no diagnostic counter is
-  /// worth.
   bool batch_with_obs = false;
 
   /// CPU cost sampling for per-query cost accounting (/queryz): when > 0,
@@ -61,18 +40,20 @@ struct EngineOptions {
   /// the elapsed nanoseconds (scaled by N) across the stream's queries in
   /// proportion to query length — the O(m)-per-tick SPRING cost model — so
   /// QueryEstCpuNanos() converges on each query's true CPU share without
-  /// per-tick clock reads. The batched PushBatch path samples whole runs on
-  /// the same cadence (scaled by N). 0 (the default) disables sampling: no
-  /// clock reads, no accounting. Estimates are diagnostic and are not
-  /// serialized into checkpoints.
+  /// per-tick clock reads. A PushBatch run counts as one Push. 0 (the
+  /// default) disables sampling: no clock reads, no accounting. Estimates
+  /// are diagnostic and are not serialized into checkpoints.
   int64_t cost_sample_every = 0;
 };
 
 /// Multi-stream, multi-query monitoring engine: the operational shell around
-/// SpringMatcher for the paper's headline use case ("monitor multiple
+/// the SPRING kernel for the paper's headline use case ("monitor multiple
 /// numerical streams" against pattern queries). Register streams, attach any
 /// number of queries to each, push values as they arrive; matches fan out to
-/// the registered sinks.
+/// the registered sinks. Each stream holds its queries in one
+/// structure-of-arrays pool (core::SpringBatchPool, core::VectorSpringPool
+/// for vector streams); every query behaves exactly like one SpringMatcher
+/// fed the same values.
 ///
 /// Threading model: an engine instance is confined to one thread — no member
 /// is synchronized, and Push mutates matcher rows, stats, and sinks in
@@ -95,7 +76,8 @@ class MonitorEngine {
   int64_t AddStream(std::string name, bool repair_missing = true);
 
   /// Attaches a disjoint-query matcher for `query` to stream `stream_id`.
-  /// Returns the query id, or an error for an unknown stream / empty query.
+  /// Returns the query id, or an error for an unknown stream or a query
+  /// that fails core::ValidateSpringQuery.
   util::StatusOr<int64_t> AddQuery(int64_t stream_id, std::string name,
                                    std::vector<double> query,
                                    const core::SpringOptions& options);
@@ -107,13 +89,13 @@ class MonitorEngine {
   /// matches reported at this tick, or an error for an unknown stream.
   util::StatusOr<int64_t> Push(int64_t stream_id, double value);
 
-  /// Retires query `query_id` at the current stream position: its matcher
-  /// state is released (batch mode: the pool slot is compacted away) and it
-  /// never reports again. A pending candidate is flushed to the sinks iff
-  /// it is already report-eligible under the Problem-2 rule — no current-
-  /// row STWM cell holds d < d_min with s <= t_e — exactly the condition a
-  /// subsequent tick would have required before committing it; a candidate
-  /// that could still be beaten by an in-flight warping path is dropped.
+  /// Retires query `query_id` at the current stream position: its pool slot
+  /// is compacted away and it never reports again. A pending candidate is
+  /// flushed to the sinks iff it is already report-eligible under the
+  /// Problem-2 rule — no current-row STWM cell holds d < d_min with
+  /// s <= t_e — exactly the condition a subsequent tick would have required
+  /// before committing it; a candidate that could still be beaten by an
+  /// in-flight warping path is dropped.
   /// Returns the number of matches flushed (0 or 1).
   ///
   /// The query id is tombstoned, not recycled: other query ids stay valid,
@@ -126,13 +108,11 @@ class MonitorEngine {
   bool query_removed(int64_t query_id) const;
 
   /// Feeds a contiguous run of values to every query of `stream_id`;
-  /// returns the total number of matches reported. Exactly equivalent to
-  /// calling Push once per value (same matches, same sink order, same
-  /// stats), but in batch mode (EngineOptions::batch_queries) without an
-  /// observability bundle the run is processed query-major so each query's
-  /// DP rows stay in L1 across the whole span. With a bundle attached the
-  /// engine falls back to per-tick processing to keep per-tick metrics and
-  /// trace events exact.
+  /// returns the total number of matches reported. Equivalent to calling
+  /// Push once per value (same matches, same sink order, same stats and
+  /// counters), but the run is processed query-major so each query's DP
+  /// rows stay in L1 across the whole span. Per-run signals (push latency,
+  /// cost samples, the periodic reporter) see one run instead of N pushes.
   util::StatusOr<int64_t> PushBatch(int64_t stream_id,
                                     std::span<const double> values);
 
@@ -141,7 +121,8 @@ class MonitorEngine {
   int64_t AddVectorStream(std::string name, int64_t dims);
 
   /// Attaches a vector query (same dims as the stream) to vector stream
-  /// `stream_id`. Vector query ids are likewise their own id space.
+  /// `stream_id`. Vector query ids are likewise their own id space. The
+  /// query's values must pass core::ValidateSpringQuery.
   util::StatusOr<int64_t> AddVectorQuery(int64_t stream_id, std::string name,
                                          ts::VectorSeries query,
                                          const core::SpringOptions& options);
@@ -204,11 +185,15 @@ class MonitorEngine {
   /// summary line every N ingested ticks. The bundle is not owned and must
   /// outlive the engine (or a later AttachObservability(nullptr)).
   ///
-  /// Cost model: with no bundle attached (the default) every Push pays one
-  /// null-pointer branch — no clock reads, no allocations. With a bundle
-  /// attached, Push adds two clock reads plus a handful of pointer-indirect
-  /// counter increments; instrument handles are resolved once here and at
-  /// AddQuery time, never on the hot path.
+  /// Candidate-opened and best-improved signals come from the kernel as
+  /// they happen, so they are exact for Push, PushBatch and PushRow alike.
+  ///
+  /// Cost model: with no bundle attached (the default) every ingest run
+  /// pays one null-pointer branch — no clock reads, no allocations. With a
+  /// bundle attached, a run adds two clock reads (only on sampled runs when
+  /// cost sampling is on) plus a handful of pointer-indirect counter
+  /// increments; instrument handles are resolved once here and at AddQuery
+  /// time, never on the hot path.
   void AttachObservability(obs::Observability* obs);
   obs::Observability* observability() const { return obs_; }
 
@@ -235,12 +220,11 @@ class MonitorEngine {
   /// Restores a checkpoint into this engine. The engine must be freshly
   /// constructed (no streams or queries registered); sinks may already be
   /// attached. On error the engine is left unusable for matching — discard
-  /// it. Checkpoints are mode-portable: a batch-mode engine restores a
-  /// per-matcher checkpoint byte-exactly and vice versa.
+  /// it.
   util::Status RestoreState(std::span<const uint8_t> bytes);
 
-  /// Serializes one scalar query's live matcher state (the bytes of
-  /// core::SpringMatcher::SerializeState, identical in both engine modes).
+  /// Serializes one scalar query's live matcher state (the bytes
+  /// core::SpringMatcher::SerializeState would produce for it).
   /// Building block for topology-changing restores — e.g. resharding a
   /// ShardedMonitor checkpoint into a different worker count — where whole-
   /// engine checkpoints cannot be replayed. Requires a valid, live
@@ -249,7 +233,9 @@ class MonitorEngine {
 
   /// Attaches a query whose matcher state comes from a
   /// SerializeQueryState / SpringMatcher::SerializeState snapshot, resuming
-  /// that query mid-stream on this engine. Returns the new query id.
+  /// that query mid-stream on this engine. Returns the new query id, or an
+  /// error for a corrupt snapshot or one whose query fails
+  /// core::ValidateSpringQuery.
   util::StatusOr<int64_t> AddQueryFromSnapshot(
       int64_t stream_id, std::string name,
       std::span<const uint8_t> snapshot);
@@ -268,31 +254,33 @@ class MonitorEngine {
     obs::Counter* cells_pruned = nullptr;
     obs::Histogram* report_delay = nullptr;
     obs::Gauge* candidate_pending = nullptr;
-    /// cells_pruned counter value already exported (the matcher keeps a
+    /// cells_pruned counter value already exported (the kernel keeps a
     /// running total; the counter advances by deltas at refresh time).
     int64_t cells_pruned_exported = 0;
   };
 
+  /// A stream and the pool holding its queries' matcher state; pool slot k
+  /// belongs to query query_ids[k].
+  template <typename Pool>
   struct StreamEntry {
     std::string name;
+    /// Scalar streams only: hold-last repair of NaN inputs.
     bool repair_missing = true;
     ts::StreamingRepairer repairer;
     bool repairer_seeded = false;
     std::vector<int64_t> query_ids;
-    /// Batch mode only: the SoA pool holding this stream's matcher state.
-    /// Pool slot k corresponds to query_ids[k]. Empty in per-matcher mode.
-    core::SpringBatchPool pool;
+    Pool pool;
     obs::Counter* obs_pushes = nullptr;
-    /// Push calls seen, for cost-sampling cadence (not serialized).
+    /// Ingest runs seen, for cost-sampling cadence (not serialized).
     uint64_t cost_push_calls = 0;
   };
+  using ScalarStream = StreamEntry<core::SpringBatchPool>;
+  using VectorStream = StreamEntry<core::VectorSpringPool>;
 
   struct QueryEntry {
     int64_t stream_id = 0;
     std::string name;
-    /// Engaged in per-matcher mode; in batch mode the authoritative state
-    /// lives in the stream's pool at `pool_index`.
-    std::optional<core::SpringMatcher> matcher;
+    /// Slot in the stream's pool; -1 once removed.
     int64_t pool_index = -1;
     /// RemoveQuery tombstone: the entry stays in place (ids are stable) but
     /// holds no matcher state and is skipped everywhere but stats().
@@ -304,24 +292,40 @@ class MonitorEngine {
     int64_t est_cpu_nanos = 0;
   };
 
-  struct VectorStreamEntry {
-    std::string name;
-    int64_t dims = 0;
-    std::vector<int64_t> query_ids;
-    obs::Counter* obs_pushes = nullptr;
+  /// Forwards the kernel's candidate-opened / best-improved signals for one
+  /// stream's pool to metrics and trace events.
+  struct ObservedSignals {
+    MonitorEngine* engine;
+    const std::vector<int64_t>* query_ids;
+    std::vector<QueryEntry>* queries;
+    obs::TraceSpace space;
+    void CandidateOpened(int64_t index, const core::SpringState& state);
+    void BestImproved(int64_t index, const core::SpringState& state);
   };
 
-  struct VectorQueryEntry {
-    int64_t stream_id = 0;
-    std::string name;
-    core::VectorSpringMatcher matcher;
-    QueryStats stats;
-    QueryObs obs;
-  };
+  /// The one ingest routine behind Push, PushBatch and PushRow: advances
+  /// every query of `stream` through `values` (already repaired), then
+  /// books stats, metrics, trace events and sinks. Returns the number of
+  /// matches reported.
+  template <typename Stream>
+  int64_t Ingest(Stream& stream, std::vector<QueryEntry>& queries,
+                 obs::TraceSpace space, std::span<const double> values);
 
-  void Dispatch(const QueryEntry& query, const core::Match& match);
-  void DispatchVector(const VectorQueryEntry& query,
-                      const core::Match& match);
+  /// Registers a query entry for pool slot `pool_index` of `stream`.
+  template <typename Stream>
+  int64_t AttachQuery(Stream& stream, std::vector<QueryEntry>& queries,
+                      int64_t stream_id, std::string name,
+                      int64_t pool_index, obs::TraceSpace space);
+
+  /// Books one reported or flushed match of `query` — stats, metrics, a
+  /// trace event of `kind` — and hands it to the sinks.
+  void Deliver(QueryEntry& query, int64_t query_id, obs::TraceSpace space,
+               const core::Match& match, obs::TraceEventKind kind);
+
+  /// Records a trace event when tracing is on.
+  void Trace(obs::TraceEventKind kind, obs::TraceSpace space, int64_t tick,
+             const QueryEntry& query, int64_t query_id, int64_t start,
+             int64_t end, double distance, int64_t report_delay = 0);
 
   /// Resolves metric handles against the attached registry.
   QueryObs ResolveQueryObs(const std::string& stream_name,
@@ -330,50 +334,26 @@ class MonitorEngine {
                                    bool vector_space);
   void ResolveEngineObs();
 
-  /// Post-Update bookkeeping for candidate-churn and best-improvement
-  /// metrics and trace events. `reported` is Update()'s return value (a
-  /// report clears the pending candidate, so a still-pending candidate
-  /// after a report is a fresh one). `matcher` is anything exposing
-  /// SpringMatcher's observability accessors — a matcher itself or a
-  /// core::PoolQueryView over a batch-pool slot.
-  template <typename MatcherLike, typename Entry>
-  void ObserveUpdate(const MatcherLike& matcher, Entry& query,
-                     int64_t query_id, obs::TraceSpace space,
-                     bool had_candidate, bool had_best, double prev_best,
-                     bool reported);
-
-  /// Records a match-report or flush event (metrics + trace).
-  template <typename Entry>
-  void ObserveMatch(Entry& query, int64_t query_id, obs::TraceSpace space,
-                    const core::Match& match, obs::TraceEventKind kind);
-
-  /// Runs the periodic reporter if one is attached and due.
-  void MaybeReport();
+  /// Advances the periodic reporter (if one is attached) by `ticks` and
+  /// renders a summary when one came due.
+  void MaybeReport(int64_t ticks);
 
   /// Distributes `elapsed_nanos * multiplier` of measured CPU across the
   /// stream's queries in proportion to query length (the O(m)/tick model).
-  void AccumulateCost(StreamEntry& stream, int64_t elapsed_nanos,
-                      int64_t multiplier);
+  template <typename Stream>
+  void AccumulateCost(const Stream& stream, std::vector<QueryEntry>& queries,
+                      int64_t elapsed_nanos, int64_t multiplier);
 
   EngineOptions options_;
-  std::vector<StreamEntry> streams_;
+  std::vector<ScalarStream> streams_;
   std::vector<QueryEntry> queries_;
-  std::vector<VectorStreamEntry> vector_streams_;
-  std::vector<VectorQueryEntry> vector_queries_;
+  std::vector<VectorStream> vector_streams_;
+  std::vector<QueryEntry> vector_queries_;
   std::vector<MatchSink*> sinks_;
-  /// Pre-Update snapshot for one query, captured before a batched pool
-  /// advance so observability can detect candidate/best transitions.
-  struct PreUpdate {
-    bool had_candidate = false;
-    bool had_best = false;
-    double prev_best = 0.0;
-  };
-
-  /// Hot-path scratch (batch mode), kept as members so Push never
-  /// allocates in steady state.
-  std::vector<core::SpringBatchPool::Report> batch_reports_;
+  /// Ingest scratch, kept as members so steady-state ingest never
+  /// allocates.
+  std::vector<core::SpringPoolReport> batch_reports_;
   std::vector<double> batch_values_;
-  std::vector<PreUpdate> pre_update_scratch_;
   bool track_latency_ = false;
   util::LogHistogram push_latency_nanos_;
 

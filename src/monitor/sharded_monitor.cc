@@ -93,11 +93,6 @@ ShardedMonitor::ShardedMonitor(const ShardedMonitorOptions& options)
   for (int64_t w = 0; w < options_.num_workers; ++w) {
     auto shard = std::make_unique<Shard>();
     EngineOptions engine_options;
-    engine_options.batch_queries = options_.batch_queries;
-    // Shard engines must not drop to the per-tick path when profiling is
-    // on: the batched pool run stays, per-tick candidate signals are
-    // sampled out (EngineOptions::batch_with_obs).
-    engine_options.batch_with_obs = options_.batch_queries;
     if (options_.collect_metrics && options_.cost_sample_every > 0) {
       engine_options.cost_sample_every = options_.cost_sample_every;
     }

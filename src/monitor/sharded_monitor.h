@@ -38,12 +38,10 @@ struct ShardedMonitorOptions {
   /// Per-worker tick-queue capacity in messages (each message carries up
   /// to 16 values). Rounded up to a power of two.
   size_t queue_capacity = 256;
-  /// Shard engines run in SoA batch mode (EngineOptions::batch_queries).
-  bool batch_queries = true;
   /// Give each shard engine its own observability bundle; merged fleet
-  /// metrics are then available via MergedMetricsSnapshot(). Costs the
-  /// engine's observed ingest path per shard (and disables the engine's
-  /// query-major PushBatch fast path, which needs the unobserved path).
+  /// metrics are then available via MergedMetricsSnapshot(). Shard engines
+  /// keep their query-major PushBatch path; the bundle adds per-run
+  /// counter updates and the kernel's exact candidate / best-match signals.
   /// Also enables the pipeline profiler: stage-latency histograms
   /// (router_enqueue / ring_residency / worker_pass / delivery_delay) and
   /// per-ring occupancy/contention metrics.

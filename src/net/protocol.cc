@@ -160,29 +160,17 @@ util::Status AddQueryPayload::DecodeFrom(util::ByteReader* reader) {
 }
 
 util::StatusOr<core::SpringOptions> AddQueryPayload::ToSpringOptions() const {
-  if (values.empty()) {
-    return util::InvalidArgumentError("query template is empty");
-  }
-  for (const double v : values) {
-    if (!std::isfinite(v)) {
-      return util::InvalidArgumentError("query template has non-finite value");
-    }
-  }
+  // The wire narrows core's admission rule: epsilon must be >= 0 here
+  // (core also admits a negative, best-match-only epsilon).
   if (std::isnan(epsilon) || epsilon < 0.0) {
     return util::InvalidArgumentError("epsilon must be >= 0");
-  }
-  if (local_distance > static_cast<uint8_t>(dtw::LocalDistance::kAbsolute)) {
-    return util::InvalidArgumentError(
-        util::StrFormat("unknown local distance %u", local_distance));
-  }
-  if (max_match_length < 0 || min_match_length < 0) {
-    return util::InvalidArgumentError("match length bounds must be >= 0");
   }
   core::SpringOptions options;
   options.epsilon = epsilon;
   options.local_distance = static_cast<dtw::LocalDistance>(local_distance);
   options.max_match_length = max_match_length;
   options.min_match_length = min_match_length;
+  SPRINGDTW_RETURN_IF_ERROR(core::ValidateSpringQuery(values, options));
   return options;
 }
 

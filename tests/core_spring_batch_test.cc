@@ -1,14 +1,18 @@
 // SpringBatchPool unit tests: the SoA pool must be bit-for-bit equivalent
 // to one SpringMatcher per query — same reports (start, end, distance,
-// report tick), same best-match, same snapshots through the
-// ToMatcher/AdoptMatcher bridge. The randomized cross-implementation sweep
-// lives in differential_oracle_test.cc; these are the targeted cases.
+// report tick), same best-match, and query snapshots byte-identical to
+// SpringMatcher::SerializeState, restorable in both directions. The
+// randomized cross-implementation sweep lives in
+// differential_oracle_test.cc; these are the targeted cases.
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/spring.h"
 #include "core/spring_batch.h"
+#include "core/vector_spring.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -28,6 +32,12 @@ std::vector<double> RampStream(int64_t ticks) {
   return stream;
 }
 
+/// Advances every query of `pool` by one value.
+void Push(SpringBatchPool* pool, double x,
+          std::vector<SpringBatchPool::Report>* reports) {
+  pool->PushBatch(std::span<const double>(&x, 1), reports);
+}
+
 /// Feeds `stream` to reference matchers and to one pool; expects identical
 /// report sequences and identical end state.
 void ExpectPoolMatchesReference(
@@ -45,7 +55,7 @@ void ExpectPoolMatchesReference(
   std::vector<SpringBatchPool::Report> reports;
   for (size_t t = 0; t < stream.size(); ++t) {
     reports.clear();
-    pool.Update(stream[t], &reports);
+    Push(&pool, stream[t], &reports);
     size_t next_report = 0;
     for (size_t i = 0; i < reference.size(); ++i) {
       Match expected;
@@ -66,19 +76,18 @@ void ExpectPoolMatchesReference(
   }
 
   for (size_t i = 0; i < reference.size(); ++i) {
-    const auto index = static_cast<int64_t>(i);
-    EXPECT_EQ(pool.ticks_processed(index), reference[i].ticks_processed());
-    EXPECT_EQ(pool.has_best(index), reference[i].has_best());
+    const SpringState& state = pool.state(static_cast<int64_t>(i));
+    EXPECT_EQ(state.t, reference[i].ticks_processed());
+    EXPECT_EQ(state.has_best, reference[i].has_best());
     if (reference[i].has_best()) {
-      EXPECT_EQ(pool.best_distance(index), reference[i].best_distance());
-      EXPECT_EQ(pool.best(index).start, reference[i].best().start);
-      EXPECT_EQ(pool.best(index).end, reference[i].best().end);
+      EXPECT_EQ(state.best.distance, reference[i].best_distance());
+      EXPECT_EQ(state.best.start, reference[i].best().start);
+      EXPECT_EQ(state.best.end, reference[i].best().end);
     }
-    EXPECT_EQ(pool.has_pending_candidate(index),
-              reference[i].has_pending_candidate());
+    EXPECT_EQ(state.has_candidate, reference[i].has_pending_candidate());
     // Snapshot equivalence: the pool slot serializes to the exact bytes the
     // standalone matcher produces.
-    EXPECT_EQ(pool.ToMatcher(index).SerializeState(),
+    EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(i)),
               reference[i].SerializeState())
         << "snapshot mismatch for query " << i;
   }
@@ -101,7 +110,7 @@ void ExpectPoolMatchesReference(
     }
     EXPECT_EQ(next_report, reports.size());
     for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(pool.ToMatcher(static_cast<int64_t>(i)).SerializeState(),
+      EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(i)),
                 reference[i].SerializeState());
     }
   }
@@ -161,7 +170,7 @@ TEST(SpringBatchPoolTest, PushBatchEqualsPerTickUpdates) {
   }
 
   std::vector<SpringBatchPool::Report> tick_reports;
-  for (const double x : stream) tick_pool.Update(x, &tick_reports);
+  for (const double x : stream) Push(&tick_pool, x, &tick_reports);
 
   std::vector<SpringBatchPool::Report> batch_reports;
   // Odd-sized chunks exercise the parity handling.
@@ -185,8 +194,7 @@ TEST(SpringBatchPoolTest, PushBatchEqualsPerTickUpdates) {
               tick_reports[i].match.report_time);
   }
   for (int64_t q = 0; q < 3; ++q) {
-    EXPECT_EQ(batch_pool.ToMatcher(q).SerializeState(),
-              tick_pool.ToMatcher(q).SerializeState());
+    EXPECT_EQ(batch_pool.SerializeQuery(q), tick_pool.SerializeQuery(q));
   }
 }
 
@@ -204,13 +212,15 @@ TEST(SpringBatchPoolTest, AdoptMatcherContinuesMidStream) {
     if (reference.Update(stream[t], &match)) reference_matches.push_back(match);
   }
 
+  // The pool adopts the matcher's live state through its snapshot.
   SpringBatchPool pool;
-  const int64_t index = pool.AdoptMatcher(reference);
-  EXPECT_EQ(pool.ticks_processed(index), static_cast<int64_t>(split));
+  const auto index = pool.AddQueryFromSnapshot(reference.SerializeState());
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(pool.state(*index).t, static_cast<int64_t>(split));
 
   for (size_t t = split; t < stream.size(); ++t) {
     if (reference.Update(stream[t], &match)) reference_matches.push_back(match);
-    pool.Update(stream[t], &pool_reports);
+    Push(&pool, stream[t], &pool_reports);
   }
   // The adopted pool only saw the second half; its reports must equal the
   // reference's second-half reports.
@@ -228,8 +238,7 @@ TEST(SpringBatchPoolTest, AdoptMatcherContinuesMidStream) {
     EXPECT_EQ(pool_reports[j].match.report_time, m.report_time);
     ++j;
   }
-  EXPECT_EQ(pool.ToMatcher(index).SerializeState(),
-            reference.SerializeState());
+  EXPECT_EQ(pool.SerializeQuery(*index), reference.SerializeState());
 }
 
 TEST(SpringBatchPoolTest, AdoptRestoredSnapshotRoundTrips) {
@@ -240,12 +249,22 @@ TEST(SpringBatchPoolTest, AdoptRestoredSnapshotRoundTrips) {
   for (const double x : RampStream(123)) matcher.Update(x, &match);
 
   const std::vector<uint8_t> snapshot = matcher.SerializeState();
-  auto restored = SpringMatcher::DeserializeState(snapshot);
-  ASSERT_TRUE(restored.ok());
-
   SpringBatchPool pool;
-  const int64_t index = pool.AdoptMatcher(*restored);
-  EXPECT_EQ(pool.ToMatcher(index).SerializeState(), snapshot);
+  pool.AddQuery({4.0, 4.0}, options);  // The snapshot lands in slot 1.
+  const auto index = pool.AddQueryFromSnapshot(snapshot);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(pool.SerializeQuery(*index), snapshot);
+  // And back: a matcher restored from the pool's bytes is the original.
+  auto restored = SpringMatcher::DeserializeState(pool.SerializeQuery(*index));
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->SerializeState(), snapshot);
+
+  // A corrupt snapshot is rejected and leaves the pool as it was.
+  std::vector<uint8_t> corrupt = snapshot;
+  corrupt.resize(corrupt.size() - 3);
+  EXPECT_FALSE(pool.AddQueryFromSnapshot(corrupt).ok());
+  EXPECT_EQ(pool.num_queries(), 2);
+  EXPECT_EQ(pool.SerializeQuery(*index), snapshot);
 }
 
 TEST(SpringBatchPoolTest, MidStreamAddedQueryKeepsOwnClock) {
@@ -257,21 +276,20 @@ TEST(SpringBatchPoolTest, MidStreamAddedQueryKeepsOwnClock) {
   SpringBatchPool pool;
   pool.AddQuery({1.0, 2.0, 3.0}, options);
   std::vector<SpringBatchPool::Report> reports;
-  for (size_t t = 0; t < split; ++t) pool.Update(stream[t], &reports);
+  for (size_t t = 0; t < split; ++t) Push(&pool, stream[t], &reports);
 
   // A query attached mid-stream starts at its own tick 0, exactly like a
   // fresh SpringMatcher attached at that point.
   const int64_t late = pool.AddQuery({1.0, 2.0, 3.0}, options);
   SpringMatcher late_reference({1.0, 2.0, 3.0}, options);
-  EXPECT_EQ(pool.ticks_processed(late), 0);
+  EXPECT_EQ(pool.state(late).t, 0);
 
   Match match;
   for (size_t t = split; t < stream.size(); ++t) {
-    pool.Update(stream[t], &reports);
+    Push(&pool, stream[t], &reports);
     late_reference.Update(stream[t], &match);
   }
-  EXPECT_EQ(pool.ToMatcher(late).SerializeState(),
-            late_reference.SerializeState());
+  EXPECT_EQ(pool.SerializeQuery(late), late_reference.SerializeState());
 }
 
 TEST(SpringBatchPoolTest, RandomStreamsBitwiseEquivalent) {
@@ -294,6 +312,74 @@ TEST(SpringBatchPoolTest, RandomStreamsBitwiseEquivalent) {
       x = static_cast<double>(rng.UniformInt(-2, 2));
     }
     ExpectPoolMatchesReference({query}, {options}, stream, /*flush=*/true);
+  }
+}
+
+TEST(SpringBatchPoolTest, RowPoolMatchesVectorSpringMatcher) {
+  util::Rng rng(314);
+  std::vector<ts::VectorSeries> queries;
+  std::vector<SpringOptions> options(3);
+  options[0].epsilon = 1.0;
+  options[1].epsilon = 4.0;
+  options[1].local_distance = dtw::LocalDistance::kAbsolute;
+  options[2].epsilon = 6.0;
+  options[2].max_match_length = 5;
+  options[2].min_match_length = 2;
+  for (int64_t q = 0; q < 3; ++q) {
+    ts::VectorSeries query(2, "vq" + std::to_string(q));
+    for (int64_t i = 0; i < 2 + q; ++i) {
+      const double row[2] = {static_cast<double>(rng.UniformInt(0, 3)),
+                             static_cast<double>(rng.UniformInt(0, 3))};
+      query.AppendRow(row);
+    }
+    queries.push_back(query);
+  }
+  VectorSpringPool pool(2);
+  std::vector<VectorSpringMatcher> reference;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    pool.AddQuery(queries[q], options[q]);
+    reference.emplace_back(queries[q], options[q]);
+  }
+  std::vector<double> rows;
+  for (int t = 0; t < 400; ++t) {
+    rows.push_back(static_cast<double>(rng.UniformInt(0, 3)));
+  }
+  std::vector<VectorSpringPool::Report> reports;
+  constexpr size_t kChunk = 14;  // 7 ticks of 2 channels.
+  for (size_t at = 0; at < rows.size(); at += kChunk) {
+    const size_t count = std::min(kChunk, rows.size() - at);
+    pool.PushBatch(std::span<const double>(rows.data() + at, count),
+                   &reports);
+  }
+  pool.Flush(&reports);
+
+  std::vector<VectorSpringPool::Report> expected;
+  Match match;
+  for (size_t at = 0; at < rows.size(); at += 2) {
+    for (size_t q = 0; q < reference.size(); ++q) {
+      if (reference[q].Update(std::span<const double>(rows.data() + at, 2),
+                              &match)) {
+        expected.push_back({static_cast<int64_t>(q), match, 0});
+      }
+    }
+  }
+  for (size_t q = 0; q < reference.size(); ++q) {
+    if (reference[q].Flush(&match)) {
+      expected.push_back({static_cast<int64_t>(q), match, 0});
+    }
+  }
+  ASSERT_EQ(reports.size(), expected.size());
+  ASSERT_FALSE(expected.empty());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(reports[i].query_index, expected[i].query_index);
+    EXPECT_EQ(reports[i].match.start, expected[i].match.start);
+    EXPECT_EQ(reports[i].match.end, expected[i].match.end);
+    EXPECT_EQ(reports[i].match.distance, expected[i].match.distance);
+    EXPECT_EQ(reports[i].match.report_time, expected[i].match.report_time);
+  }
+  for (size_t q = 0; q < reference.size(); ++q) {
+    EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(q)),
+              reference[q].SerializeState());
   }
 }
 

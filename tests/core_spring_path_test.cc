@@ -56,6 +56,50 @@ TEST_P(PathEquivalenceTest, MatchesAreIdenticalToPlainSpring) {
   EXPECT_EQ(plain.Flush(&plain_match), with_path.Flush(&path_match));
 }
 
+TEST_P(PathEquivalenceTest, LengthBoundsMatchPlainSpring) {
+  // Both length options go through the shared kernel: the same matches as
+  // SpringMatcher, and no reported path spans more than max_match_length
+  // stream ticks.
+  util::Rng rng(GetParam() ^ 0x1e57);
+  const int64_t n = 300;
+  const int64_t m = rng.UniformInt(2, 6);
+  const ts::Series stream = RandomStream(rng, n);
+  std::vector<double> query(static_cast<size_t>(m));
+  for (double& y : query) y = rng.Uniform(-2.0, 2.0);
+
+  SpringOptions options;
+  options.epsilon = rng.Uniform(2.0, 8.0);
+  options.max_match_length = m + rng.UniformInt(0, 2);
+  options.min_match_length = rng.UniformInt(2, m);
+  SpringMatcher plain(query, options);
+  SpringPathMatcher with_path(query, options);
+
+  Match plain_match;
+  PathMatch path_match;
+  int64_t reports = 0;
+  const auto check = [&](bool a, bool b, int64_t t) {
+    ASSERT_EQ(a, b) << "tick " << t;
+    if (!a) return;
+    ++reports;
+    EXPECT_EQ(plain_match.start, path_match.match.start);
+    EXPECT_EQ(plain_match.end, path_match.match.end);
+    EXPECT_EQ(plain_match.distance, path_match.match.distance);
+    EXPECT_EQ(plain_match.report_time, path_match.match.report_time);
+    ASSERT_FALSE(path_match.path.empty());
+    EXPECT_LE(path_match.path.back().first - path_match.path.front().first + 1,
+              options.max_match_length);
+  };
+  for (int64_t t = 0; t < n; ++t) {
+    const bool a = plain.Update(stream[t], &plain_match);
+    const bool b = with_path.Update(stream[t], &path_match);
+    check(a, b, t);
+  }
+  check(plain.Flush(&plain_match), with_path.Flush(&path_match), n);
+  EXPECT_EQ(plain.best().start, with_path.best().start);
+  EXPECT_EQ(plain.best().distance, with_path.best().distance);
+  EXPECT_GT(reports, 0);
+}
+
 TEST_P(PathEquivalenceTest, ReportedPathIsAValidOptimalWarpingPath) {
   util::Rng rng(GetParam() ^ 0xabcd);
   const int64_t n = 300;

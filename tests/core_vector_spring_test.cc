@@ -1,5 +1,6 @@
 #include "core/vector_spring.h"
 
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -153,6 +154,42 @@ TEST(VectorSpringMatcherTest, FootprintConstantInStreamLength) {
   const int64_t bytes = matcher.Footprint().TotalBytes();
   for (int t = 0; t < 5000; ++t) matcher.Update(row, nullptr);
   EXPECT_EQ(matcher.Footprint().TotalBytes(), bytes);
+}
+
+TEST(VectorSpringMatcherTest, SnapshotReaderRejectsInadmissibleQueries) {
+  ts::VectorSeries query(2, "vq");
+  const std::vector<double> row = {1.0, 2.0};
+  query.AppendRow(row);
+  SpringOptions options;
+  options.epsilon = 1.0;
+  VectorSpringMatcher matcher(query, options);
+  Match match;
+  matcher.Update(row, &match);
+  const std::vector<uint8_t> snapshot = matcher.SerializeState();
+  ASSERT_TRUE(VectorSpringMatcher::DeserializeState(snapshot).ok());
+
+  // SPV2 layout: magic, version (8 bytes), epsilon (8), local distance (1),
+  // max_match_length (8), min_match_length (8), dims (8), name length (8)
+  // and bytes, then the values' length (8) and values.
+  constexpr size_t kEpsilon = 8;
+  constexpr size_t kMaxLength = 17;
+  constexpr size_t kFirstValue = 33 + 8 + 8 + 2 + 8;
+  const auto patched = [&](size_t offset, auto value) {
+    std::vector<uint8_t> bytes = snapshot;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(
+      VectorSpringMatcher::DeserializeState(patched(kFirstValue, kInf)).ok());
+  EXPECT_FALSE(
+      VectorSpringMatcher::DeserializeState(patched(kFirstValue, -kInf)).ok());
+  EXPECT_FALSE(VectorSpringMatcher::DeserializeState(
+                   patched(kEpsilon, std::numeric_limits<double>::quiet_NaN()))
+                   .ok());
+  EXPECT_FALSE(
+      VectorSpringMatcher::DeserializeState(patched(kMaxLength, int64_t{-1}))
+          .ok());
 }
 
 TEST(VectorSpringMatcherTest, GroupRangeModificationForMocap) {

@@ -1,6 +1,6 @@
 // Differential oracle harness: every execution path that claims SPRING
-// semantics — SpringMatcher, the SoA SpringBatchPool, the batch-mode
-// MonitorEngine, and the ShardedMonitor scale-out shell — is run over the
+// semantics — SpringMatcher, the SoA SpringBatchPool, the MonitorEngine
+// (PushBatch), and the ShardedMonitor scale-out shell — is run over the
 // same randomized workloads and compared.
 //
 // Two tiers of agreement are enforced per trial:
@@ -183,9 +183,7 @@ std::vector<Outcome> RunBatchPool(const Trial& trial,
 
 std::vector<Outcome> RunEngine(const Trial& trial,
                                const std::vector<double>& raw) {
-  monitor::EngineOptions engine_options;
-  engine_options.batch_queries = true;
-  monitor::MonitorEngine engine(engine_options);
+  monitor::MonitorEngine engine;
   monitor::CollectSink sink;
   engine.AddSink(&sink);
   const int64_t stream_id = engine.AddStream("s", /*repair_missing=*/true);

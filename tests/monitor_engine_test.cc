@@ -1,10 +1,16 @@
 #include "monitor/engine.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/spring.h"
 #include "monitor/sink.h"
+#include "ts/vector_series.h"
 #include "util/random.h"
 
 namespace springdtw {
@@ -128,6 +134,86 @@ TEST(MonitorEngineTest, EmptyOrMissingQueryRejected) {
   EXPECT_FALSE(
       engine.AddQuery(stream, "q", {1.0, ts::MissingValue()}, Options(1.0))
           .ok());
+}
+
+TEST(MonitorEngineTest, InadmissibleQueriesRejected) {
+  // core::ValidateSpringQuery is the one admission rule: the engine's add
+  // paths and its checkpoint restore all apply it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  core::SpringOptions nan_epsilon = Options(1.0);
+  nan_epsilon.epsilon = std::numeric_limits<double>::quiet_NaN();
+  core::SpringOptions negative_max = Options(1.0);
+  negative_max.max_match_length = -1;
+  const std::vector<std::pair<std::vector<double>, core::SpringOptions>>
+      bad = {{{1.0, kInf}, Options(1.0)},
+             {{-kInf, 1.0}, Options(1.0)},
+             {{1.0, 2.0}, nan_epsilon},
+             {{1.0, 2.0}, negative_max}};
+
+  MonitorEngine engine;
+  const int64_t stream = engine.AddStream("s");
+  const int64_t vector_stream = engine.AddVectorStream("v", 2);
+  for (const auto& [values, options] : bad) {
+    EXPECT_EQ(engine.AddQuery(stream, "q", values, options).status().code(),
+              util::StatusCode::kInvalidArgument);
+    ts::VectorSeries vector_query(2);
+    vector_query.AppendRow(values);
+    EXPECT_EQ(engine.AddVectorQuery(vector_stream, "vq", vector_query, options)
+                  .status()
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.num_queries(), 0);
+  EXPECT_EQ(engine.num_vector_queries(), 0);
+  // A negative epsilon stays legal (best-match-only use).
+  EXPECT_TRUE(engine.AddQuery(stream, "best", {1.0, 2.0}, Options(-1.0)).ok());
+}
+
+TEST(MonitorEngineTest, RestoreRejectsInadmissibleQueries) {
+  // Patch an admissible checkpoint's query snapshot to carry each bad
+  // value; the engine restore, AddQueryFromSnapshot and the matcher's own
+  // reader must all refuse it.
+  MonitorEngine engine;
+  const int64_t stream = engine.AddStream("s");
+  ASSERT_TRUE(engine.AddQuery(stream, "q", {1.0, 2.0}, Options(1.0)).ok());
+  ASSERT_TRUE(engine.Push(stream, 1.0).ok());
+  const std::vector<uint8_t> snapshot = engine.SerializeQueryState(0);
+  const std::vector<uint8_t> checkpoint = engine.SerializeState();
+
+  // SPR1 layout: magic, version (8 bytes), epsilon (8), local distance
+  // (1), max_match_length (8), min_match_length (8), then the template's
+  // length (8) and values.
+  constexpr size_t kEpsilon = 8;
+  constexpr size_t kMaxLength = 17;
+  constexpr size_t kFirstValue = 41;
+  const auto patched = [&](size_t offset, auto value) {
+    std::vector<uint8_t> bytes = snapshot;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const std::vector<std::vector<uint8_t>> bad = {
+      patched(kFirstValue, std::numeric_limits<double>::infinity()),
+      patched(kFirstValue, -std::numeric_limits<double>::infinity()),
+      patched(kEpsilon, std::numeric_limits<double>::quiet_NaN()),
+      patched(kMaxLength, int64_t{-1})};
+  for (const std::vector<uint8_t>& bytes : bad) {
+    EXPECT_FALSE(core::SpringMatcher::DeserializeState(bytes).ok());
+    MonitorEngine target;
+    target.AddStream("s");
+    EXPECT_FALSE(target.AddQueryFromSnapshot(0, "q", bytes).ok());
+    EXPECT_EQ(target.num_queries(), 0);
+
+    // The same snapshot inside a whole-engine checkpoint.
+    std::vector<uint8_t> bad_checkpoint = checkpoint;
+    const auto at = std::search(bad_checkpoint.begin(), bad_checkpoint.end(),
+                                snapshot.begin(), snapshot.end());
+    ASSERT_NE(at, bad_checkpoint.end());
+    std::copy(bytes.begin(), bytes.end(), at);
+    MonitorEngine restored;
+    EXPECT_FALSE(restored.RestoreState(bad_checkpoint).ok());
+  }
+  MonitorEngine restored;
+  EXPECT_TRUE(restored.RestoreState(checkpoint).ok());
 }
 
 TEST(MonitorEngineTest, PushCountsMatchesReturned) {

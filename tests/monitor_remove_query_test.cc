@@ -3,8 +3,10 @@
 // paper's Problem-2 rule (no current-row cell with d(t,i) < d_min and
 // s(t,i) <= t_e), removal tombstones the global id without shifting other
 // ids, checkpoints skip removed queries and round-trip byte-identically,
-// and the scalar and SoA-batch engines agree on all of it.
+// all of it the same whether the engine is fed by Push or PushBatch, and in
+// agreement with standalone SpringMatchers.
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,19 +27,24 @@ core::SpringOptions Eps(double epsilon) {
   return options;
 }
 
+/// The parameter selects the ingest call: per-value Push (false) or one
+/// PushBatch run (true).
 class EngineModeTest : public ::testing::TestWithParam<bool> {
  protected:
-  MonitorEngine MakeEngine() {
-    EngineOptions options;
-    options.batch_queries = GetParam();
-    return MonitorEngine(options);
+  void Feed(MonitorEngine* engine, int64_t stream,
+            const std::vector<double>& values) {
+    if (GetParam()) {
+      ASSERT_TRUE(engine->PushBatch(stream, values).ok());
+      return;
+    }
+    for (const double v : values) ASSERT_TRUE(engine->Push(stream, v).ok());
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(ScalarAndBatch, EngineModeTest, ::testing::Bool());
 
 TEST_P(EngineModeTest, RemoveUnknownOrRemovedQueryFails) {
-  MonitorEngine engine = MakeEngine();
+  MonitorEngine engine;
   const int64_t stream = engine.AddStream("s");
   const int64_t q0 = *engine.AddQuery(stream, "q0", {1.0, 2.0}, Eps(0.5));
   const int64_t q1 = *engine.AddQuery(stream, "q1", {3.0}, Eps(0.5));
@@ -57,12 +64,12 @@ TEST_P(EngineModeTest, RemoveUnknownOrRemovedQueryFails) {
   EXPECT_EQ(engine.RemoveQuery(q0).status().code(),
             util::StatusCode::kNotFound);
   // The survivor still ingests under its old id.
-  ASSERT_TRUE(engine.Push(stream, 3.0).ok());
+  Feed(&engine, stream, {3.0});
   EXPECT_EQ(engine.stats(q1).ticks, 1);
 }
 
 TEST_P(EngineModeTest, EligibleCandidateFlushesOnRemove) {
-  MonitorEngine engine = MakeEngine();
+  MonitorEngine engine;
   CollectSink sink;
   engine.AddSink(&sink);
   const int64_t stream = engine.AddStream("s");
@@ -71,9 +78,7 @@ TEST_P(EngineModeTest, EligibleCandidateFlushesOnRemove) {
   // Exact pattern occurrence ending at the last tick: the candidate was
   // updated to dmin = 0 *after* this tick's report check ran, and no cell
   // can beat a zero distance, so removal must flush it.
-  for (const double v : {5.0, 1.0, 2.0, 3.0}) {
-    ASSERT_TRUE(engine.Push(stream, v).ok());
-  }
+  Feed(&engine, stream, {5.0, 1.0, 2.0, 3.0});
   ASSERT_TRUE(sink.entries().empty());
   util::StatusOr<int64_t> flushed = engine.RemoveQuery(query);
   ASSERT_TRUE(flushed.ok());
@@ -90,15 +95,13 @@ TEST_P(EngineModeTest, EligibleCandidateFlushesOnRemove) {
 }
 
 TEST_P(EngineModeTest, NoCandidateNothingToFlush) {
-  MonitorEngine engine = MakeEngine();
+  MonitorEngine engine;
   CollectSink sink;
   engine.AddSink(&sink);
   const int64_t stream = engine.AddStream("s");
   const int64_t query =
       *engine.AddQuery(stream, "q", {1.0, 2.0, 3.0}, Eps(0.5));
-  for (const double v : {9.0, 9.0, 9.0}) {
-    ASSERT_TRUE(engine.Push(stream, v).ok());
-  }
+  Feed(&engine, stream, {9.0, 9.0, 9.0});
   util::StatusOr<int64_t> flushed = engine.RemoveQuery(query);
   ASSERT_TRUE(flushed.ok());
   EXPECT_EQ(*flushed, 0);
@@ -122,7 +125,7 @@ TEST_P(EngineModeTest, FlushDecisionMatchesScalarOraclePredicate) {
     }
     const core::SpringOptions options = Eps(1.5);
 
-    MonitorEngine engine = MakeEngine();
+    MonitorEngine engine;
     CollectSink sink;
     engine.AddSink(&sink);
     const int64_t stream = engine.AddStream("s");
@@ -130,13 +133,14 @@ TEST_P(EngineModeTest, FlushDecisionMatchesScalarOraclePredicate) {
         *engine.AddQuery(stream, "q", query_values, options);
     core::SpringMatcher oracle(query_values, options);
 
-    const int64_t prefix = 1 + rng.UniformInt(0, 30);
-    for (int64_t t = 0; t < prefix; ++t) {
-      const double v = static_cast<double>(rng.UniformInt(0, 3));
-      ASSERT_TRUE(engine.Push(stream, v).ok());
+    std::vector<double> prefix(
+        static_cast<size_t>(1 + rng.UniformInt(0, 30)));
+    for (double& v : prefix) {
+      v = static_cast<double>(rng.UniformInt(0, 3));
       core::Match ignored;
       (void)oracle.Update(v, &ignored);
     }
+    Feed(&engine, stream, prefix);
 
     bool expect_flush = false;
     if (oracle.has_pending_candidate() &&
@@ -172,63 +176,91 @@ TEST_P(EngineModeTest, FlushDecisionMatchesScalarOraclePredicate) {
   EXPECT_GT(dropped_cases, 0);
 }
 
-// Batch and scalar engines run the same remove-mid-ingest schedule and
-// must produce identical match streams and identical flush counts.
+// The engine (fed by PushBatch around a mid-ingest removal) against one
+// standalone SpringMatcher per query, the removed one flushed by the
+// Problem-2 predicate on its live row: identical match streams and flush
+// counts.
 TEST(RemoveQueryDifferentialTest, BatchAgreesWithScalar) {
   util::Rng rng(7771);
   for (int trial = 0; trial < 40; ++trial) {
     const std::vector<std::vector<double>> patterns = {
         {1.0, 2.0, 3.0}, {2.0, 2.0}, {0.0, 1.0, 0.0}};
-    std::vector<std::pair<int64_t, double>> ops;
+    const auto options = [](size_t q) { return Eps(q == 1 ? 0.5 : 2.0); };
     const int64_t n = 60 + rng.UniformInt(0, 60);
-    for (int64_t i = 0; i < n; ++i) {
-      ops.emplace_back(0, static_cast<double>(rng.UniformInt(0, 3)));
+    std::vector<double> values(static_cast<size_t>(n));
+    for (double& v : values) v = static_cast<double>(rng.UniformInt(0, 3));
+    const size_t remove_at = static_cast<size_t>(rng.UniformInt(1, n - 1));
+    const size_t remove_query = static_cast<size_t>(rng.UniformInt(0, 2));
+
+    MonitorEngine engine;
+    CollectSink sink;
+    engine.AddSink(&sink);
+    const int64_t stream = engine.AddStream("s");
+    for (size_t q = 0; q < patterns.size(); ++q) {
+      ASSERT_TRUE(engine
+                      .AddQuery(stream, "q" + std::to_string(q), patterns[q],
+                                options(q))
+                      .ok());
     }
-    const int64_t remove_at = rng.UniformInt(1, n - 1);
-    const int64_t remove_query = rng.UniformInt(0, 2);
+    const std::span<const double> all(values);
+    ASSERT_TRUE(engine.PushBatch(stream, all.first(remove_at)).ok());
+    const util::StatusOr<int64_t> flushed =
+        engine.RemoveQuery(static_cast<int64_t>(remove_query));
+    ASSERT_TRUE(flushed.ok());
+    ASSERT_TRUE(engine.PushBatch(stream, all.subspan(remove_at)).ok());
+    engine.FlushAll();
 
-    auto run = [&](bool batch) {
-      EngineOptions engine_options;
-      engine_options.batch_queries = batch;
-      MonitorEngine engine(engine_options);
-      CollectSink sink;
-      engine.AddSink(&sink);
-      const int64_t stream = engine.AddStream("s");
-      for (size_t q = 0; q < patterns.size(); ++q) {
-        EXPECT_TRUE(engine
-                        .AddQuery(stream, "q" + std::to_string(q),
-                                  patterns[q], Eps(q == 1 ? 0.5 : 2.0))
-                        .ok());
-      }
-      int64_t flushed = -1;
-      for (int64_t i = 0; i < n; ++i) {
-        if (i == remove_at) {
-          util::StatusOr<int64_t> removed = engine.RemoveQuery(remove_query);
-          EXPECT_TRUE(removed.ok());
-          flushed = *removed;
+    std::vector<core::SpringMatcher> oracle;
+    for (size_t q = 0; q < patterns.size(); ++q) {
+      oracle.emplace_back(patterns[q], options(q));
+    }
+    std::vector<std::pair<size_t, core::Match>> expected;
+    int64_t expected_flushed = 0;
+    core::Match match;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i == remove_at) {
+        const core::SpringMatcher& removed = oracle[remove_query];
+        bool eligible = removed.has_pending_candidate() &&
+                        removed.candidate_distance() <=
+                            removed.options().epsilon;
+        const std::span<const double> d = removed.LastRowDistances();
+        const std::span<const int64_t> s = removed.LastRowStarts();
+        for (size_t r = 1; eligible && r < d.size(); ++r) {
+          eligible = !(d[r] < removed.candidate_distance() &&
+                       s[r] <= removed.candidate_end());
         }
-        EXPECT_TRUE(engine.Push(ops[static_cast<size_t>(i)].first,
-                                ops[static_cast<size_t>(i)].second)
-                        .ok());
+        if (eligible) {
+          core::Match flushed_match;
+          flushed_match.start = removed.candidate_start();
+          flushed_match.end = removed.candidate_end();
+          flushed_match.distance = removed.candidate_distance();
+          flushed_match.report_time = removed.ticks_processed();
+          expected.emplace_back(remove_query, flushed_match);
+          expected_flushed = 1;
+        }
       }
-      engine.FlushAll();
-      return std::make_pair(flushed, sink.entries());
-    };
+      for (size_t q = 0; q < oracle.size(); ++q) {
+        if (i >= remove_at && q == remove_query) continue;
+        if (oracle[q].Update(values[i], &match)) {
+          expected.emplace_back(q, match);
+        }
+      }
+    }
+    for (size_t q = 0; q < oracle.size(); ++q) {
+      if (q != remove_query && oracle[q].Flush(&match)) {
+        expected.emplace_back(q, match);
+      }
+    }
 
-    const auto [scalar_flushed, scalar_entries] = run(false);
-    const auto [batch_flushed, batch_entries] = run(true);
-    EXPECT_EQ(scalar_flushed, batch_flushed) << "trial " << trial;
-    ASSERT_EQ(scalar_entries.size(), batch_entries.size()) << "trial "
-                                                           << trial;
-    for (size_t i = 0; i < scalar_entries.size(); ++i) {
-      EXPECT_EQ(scalar_entries[i].origin.query_id,
-                batch_entries[i].origin.query_id);
-      EXPECT_EQ(scalar_entries[i].match.start, batch_entries[i].match.start);
-      EXPECT_EQ(scalar_entries[i].match.end, batch_entries[i].match.end);
-      EXPECT_EQ(scalar_entries[i].match.distance,
-                batch_entries[i].match.distance);
-      EXPECT_EQ(scalar_entries[i].match.report_time,
-                batch_entries[i].match.report_time);
+    EXPECT_EQ(*flushed, expected_flushed) << "trial " << trial;
+    ASSERT_EQ(sink.entries().size(), expected.size()) << "trial " << trial;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const CollectSink::Entry& got = sink.entries()[i];
+      EXPECT_EQ(got.origin.query_id, static_cast<int64_t>(expected[i].first));
+      EXPECT_EQ(got.match.start, expected[i].second.start);
+      EXPECT_EQ(got.match.end, expected[i].second.end);
+      EXPECT_EQ(got.match.distance, expected[i].second.distance);
+      EXPECT_EQ(got.match.report_time, expected[i].second.report_time);
     }
   }
 }
@@ -237,7 +269,7 @@ TEST(RemoveQueryDifferentialTest, BatchAgreesWithScalar) {
 // into an engine whose own serialization is byte-identical, and both
 // continue identically.
 TEST_P(EngineModeTest, CheckpointAfterRemoveRoundTripsByteIdentically) {
-  MonitorEngine engine = MakeEngine();
+  MonitorEngine engine;
   CollectSink sink;
   engine.AddSink(&sink);
   const int64_t stream = engine.AddStream("s");
@@ -245,16 +277,13 @@ TEST_P(EngineModeTest, CheckpointAfterRemoveRoundTripsByteIdentically) {
   const int64_t q1 = *engine.AddQuery(stream, "q1", {2.0, 2.0}, Eps(0.5));
   ASSERT_TRUE(engine.AddQuery(stream, "q2", {0.0, 1.0}, Eps(1.0)).ok());
   util::Rng rng(99);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        engine.Push(stream, static_cast<double>(rng.UniformInt(0, 3))).ok());
-  }
+  std::vector<double> prefix(50);
+  for (double& v : prefix) v = static_cast<double>(rng.UniformInt(0, 3));
+  Feed(&engine, stream, prefix);
   ASSERT_TRUE(engine.RemoveQuery(q1).ok());
 
   const std::vector<uint8_t> snapshot = engine.SerializeState();
-  EngineOptions restore_options;
-  restore_options.batch_queries = GetParam();
-  MonitorEngine restored(restore_options);
+  MonitorEngine restored;
   CollectSink restored_sink;
   restored.AddSink(&restored_sink);
   ASSERT_TRUE(restored.RestoreState(snapshot).ok());

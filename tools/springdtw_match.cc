@@ -13,8 +13,8 @@
 // --paths each match's warping-path step counts are printed too.
 //
 // Scale-out (threshold mode only): --batch=CHUNK ingests through the
-// engine's SoA batched path in CHUNK-value runs instead of one Push per
-// value. --threads=N routes through the ShardedMonitor shell with N
+// engine's PushBatch in CHUNK-value runs, processed query-major, instead
+// of one Push per value. --threads=N routes through the ShardedMonitor shell with N
 // workers (matches still print in deterministic order; a single stream
 // lives on one shard, so this exercises the pipeline rather than
 // splitting the DP). Both produce byte-identical output to the scalar
@@ -112,8 +112,7 @@ void LingerForScrapers(const IntrospectOptions& introspect) {
 
 // Threshold-mode matching through the MonitorEngine with an observability
 // bundle attached; renders metrics / trace afterwards. `batch_chunk` > 0
-// switches the engine to SoA batch mode and ingests via PushBatch in
-// chunk-value runs.
+// ingests via PushBatch in chunk-value runs.
 int RunObserved(const ts::Series& stream, const ts::Series& query,
                 const core::SpringOptions& options, int64_t batch_chunk,
                 const std::string& metrics_format,
@@ -126,13 +125,7 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
   obs_options.report_out = &std::cerr;
   obs::Observability observability(obs_options);
 
-  monitor::EngineOptions engine_options;
-  engine_options.batch_queries = batch_chunk > 0;
-  monitor::MonitorEngine engine(engine_options);
-  // Attaching observability routes ingest through the engine's observed
-  // per-value path, which bypasses the query-major batched fast path — so
-  // a bare --batch run stays unobserved and actually exercises the SoA
-  // pool.
+  monitor::MonitorEngine engine;
   const bool want_obs = !metrics_format.empty() || !trace_out.empty() ||
                         report_every > 0 || introspect.port >= 0;
   if (want_obs) engine.AttachObservability(&observability);
