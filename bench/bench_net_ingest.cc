@@ -145,11 +145,7 @@ double MeasureNet(const Workload& w, int64_t workers, int64_t chunk,
                   const std::string& wal_dir, int64_t* slow_disconnects) {
   monitor::ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = workers;
-  if (traced) {
-    monitor_options.enable_introspection = true;
-    monitor_options.span_sample_every = 64;
-    monitor_options.cost_sample_every = 64;
-  }
+  monitor_options.collect_metrics = traced;
   if (timeline) {
     monitor_options.enable_timeline = true;
     monitor_options.slo_p99_ms = 50.0;

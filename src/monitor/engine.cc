@@ -172,7 +172,7 @@ util::StatusOr<int64_t> MonitorEngine::RemoveQuery(int64_t query_id) {
 
 void MonitorEngine::Deliver(QueryEntry& query, int64_t query_id,
                             obs::TraceSpace space, const core::Match& match,
-                            obs::TraceEventKind kind) {
+                            obs::TraceEventKind kind, int64_t batch_offset) {
   const int64_t delay = match.report_time - match.end;
   ++query.stats.matches;
   query.stats.output_delay.Add(static_cast<double>(delay));
@@ -193,6 +193,7 @@ void MonitorEngine::Deliver(QueryEntry& query, int64_t query_id,
                            ? vector_streams_[stream].name
                            : streams_[stream].name;
   origin.query_name = query.name;
+  origin.batch_offset = batch_offset;
   for (MatchSink* sink : sinks_) sink->OnMatch(origin, match);
 }
 
@@ -272,7 +273,8 @@ int64_t MonitorEngine::Ingest(Stream& stream,
     const int64_t query_id =
         stream.query_ids[static_cast<size_t>(report.query_index)];
     Deliver(queries[static_cast<size_t>(query_id)], query_id, space,
-            report.match, obs::TraceEventKind::kMatchReported);
+            report.match, obs::TraceEventKind::kMatchReported,
+            report.batch_offset);
   }
 
   if (timed) {

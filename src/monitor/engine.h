@@ -318,9 +318,11 @@ class MonitorEngine {
                       int64_t pool_index, obs::TraceSpace space);
 
   /// Books one reported or flushed match of `query` — stats, metrics, a
-  /// trace event of `kind` — and hands it to the sinks.
+  /// trace event of `kind` — and hands it to the sinks. `batch_offset` is
+  /// the reporting tick's index in the ingested run (-1 for flushes).
   void Deliver(QueryEntry& query, int64_t query_id, obs::TraceSpace space,
-               const core::Match& match, obs::TraceEventKind kind);
+               const core::Match& match, obs::TraceEventKind kind,
+               int64_t batch_offset = -1);
 
   /// Records a trace event when tracing is on.
   void Trace(obs::TraceEventKind kind, obs::TraceSpace space, int64_t tick,

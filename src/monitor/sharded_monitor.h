@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,21 +11,16 @@
 #include <vector>
 
 #include "core/spring.h"
-#include "monitor/cost_accounting.h"
 #include "monitor/engine.h"
 #include "monitor/sink.h"
 #include "monitor/spsc_queue.h"
+#include "monitor/telemetry.h"
 #include "obs/alert.h"
 #include "obs/introspection_server.h"
-#include "obs/span.h"
 #include "obs/metrics.h"
-#include "obs/observability.h"
-#include "obs/timeline.h"
 #include "ts/repair.h"
 #include "util/memory.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace springdtw {
 namespace monitor {
@@ -38,74 +32,44 @@ struct ShardedMonitorOptions {
   /// Per-worker tick-queue capacity in messages (each message carries up
   /// to 16 values). Rounded up to a power of two.
   size_t queue_capacity = 256;
-  /// Give each shard engine its own observability bundle; merged fleet
-  /// metrics are then available via MergedMetricsSnapshot(). Shard engines
-  /// keep their query-major PushBatch path; the bundle adds per-run
-  /// counter updates and the kernel's exact candidate / best-match signals.
-  /// Also enables the pipeline profiler: stage-latency histograms
-  /// (router_enqueue / ring_residency / worker_pass / delivery_delay) and
-  /// per-ring occupancy/contention metrics.
+  /// The one telemetry switch (docs/OBSERVABILITY.md). On, the monitor
+  /// runs its telemetry plane (monitor/telemetry.h): per-shard metrics and
+  /// trace rings (merged by MergedMetricsSnapshot), pipeline stage
+  /// latencies, ring metrics, watchdog stamps, published snapshots, sampled
+  /// tick spans and per-query cost sampling. Each of the four options below
+  /// that asks for telemetry — a port, a timeline, alert rules, an SLO —
+  /// turns it on. Off, the hot path pays one predictable branch per
+  /// message: no clock reads, no allocations.
   bool collect_metrics = false;
 
-  /// Live introspection (docs/OBSERVABILITY.md): when >= 0 the monitor runs
-  /// an obs::IntrospectionServer on 127.0.0.1 at this port (0 picks an
-  /// ephemeral port; see introspection_port()) serving /metrics,
-  /// /metrics.json, /healthz, /statusz, and /tracez. Implies
-  /// enable_introspection.
+  /// When >= 0, serves the plane over HTTP on 127.0.0.1 at this port (0
+  /// picks an ephemeral port; see introspection_port()): /metrics,
+  /// /metrics.json, /healthz, /statusz, /tracez, /spanz, /queryz,
+  /// /streamz, /timez and /alertz.
   int64_t introspect_port = -1;
-  /// Attach the introspection plumbing — watchdog progress stamps and
-  /// thread-safe published snapshots (HealthSnapshot, StatusSnapshot,
-  /// PublishedMetricsSnapshot, PublishedTraces) — without running the HTTP
-  /// server, for embedders that serve the reports themselves. Implies
-  /// collect_metrics.
-  bool enable_introspection = false;
   /// Watchdog staleness budget: a worker that has processed traffic before
   /// but has made no progress for longer than this is reported "stale" by
   /// /healthz (503). The budget therefore encodes the expected feed
   /// cadence — a stream silent longer than this is treated as a stall.
   double staleness_budget_ms = 1000.0;
-  /// Workers and the router republish their introspection snapshots at
-  /// most this often (plus whenever their queue runs empty).
+  /// Workers and the router republish their snapshots at most this often
+  /// (plus whenever their queue runs empty); the timeline, alert pass and
+  /// embedder families (Telemetry::SetAuxMetricsProvider) ride the same
+  /// cadence.
   double publish_interval_ms = 100.0;
-  /// Per-shard match-lifecycle trace ring capacity feeding /tracez, used
-  /// only when introspection is enabled (0 disables tracing).
-  int64_t introspect_trace_capacity = 1024;
 
-  /// End-to-end tick span sampling (used only when introspection is
-  /// enabled): every Nth routed value — globally, across streams — is
-  /// traced from the ingest edge through enqueue, ring residency, the
-  /// worker pass, and barrier delivery, feeding /spanz and the
-  /// spring_e2e_latency_nanos stage histograms. 0 disables span sampling
-  /// even with introspection on.
-  int64_t span_sample_every = 64;
-  /// Completed-span ring capacity behind /spanz (oldest overwritten;
-  /// drops are counted). Used only when introspection is enabled.
-  int64_t span_ring_capacity = 256;
-  /// Per-query CPU cost sampling cadence forwarded to each shard engine
-  /// (EngineOptions::cost_sample_every), feeding the est_cpu_nanos column
-  /// of /queryz and LIST_QUERIES stats. Used only when collect_metrics is
-  /// on; 0 disables CPU sampling (cells/ticks/matches accounting stays).
-  int64_t cost_sample_every = 64;
-
-  /// Metrics timeline + alerting (docs/OBSERVABILITY.md): when on, the
-  /// router folds each published fleet snapshot into a multi-resolution
-  /// obs::MetricsTimeline (served as /timez) and evaluates `alert_rules`
-  /// against it (served as /alertz; a firing page-severity rule flips
-  /// /healthz to 503). Implied by non-empty alert_rules or slo_p99_ms > 0;
-  /// implies enable_introspection. Recording and evaluation ride the
-  /// publish cadence (publish_interval_ms), never the ingest hot path, and
-  /// cost nothing — no allocations, no atomics — when disabled.
+  /// Metrics timeline + alerting: the router folds each published fleet
+  /// snapshot into a multi-resolution obs::MetricsTimeline (served as
+  /// /timez) and evaluates `alert_rules` against it (served as /alertz; a
+  /// firing page-severity rule flips /healthz to 503). Recording and
+  /// evaluation ride the publish cadence, never the ingest hot path.
   bool enable_timeline = false;
-  /// Timeline tiers + channel cap; defaults per obs::TimelineOptions.
-  obs::TimelineOptions timeline;
   /// Parsed alert rules (obs::ParseAlertRules for the text form).
   std::vector<obs::AlertRule> alert_rules;
   /// > 0 appends the conventional two-window SLO page rule on p99
   /// spring_e2e_latency_nanos{stage=total} with this budget, in
   /// milliseconds (obs::MakeSloP99Rule).
   double slo_p99_ms = 0.0;
-  /// Capacity of the alert-transition trace ring merged into /tracez.
-  int64_t alert_trace_capacity = 256;
 };
 
 /// Scale-out shell around MonitorEngine: hash-partitions scalar streams
@@ -275,84 +239,39 @@ class ShardedMonitor {
   /// the router-side registry (stage latencies, ring metrics).
   obs::MetricsSnapshot MergedMetricsSnapshot();
 
-  /// ## Introspection (thread-safe, any thread, no barrier)
+  /// The telemetry plane, or null when collect_metrics is off. Its
+  /// published snapshots (metrics, traces, spans, /queryz, /timez, ...)
+  /// are readable from any thread; see monitor/telemetry.h.
+  Telemetry* telemetry() { return telemetry_.get(); }
+  const Telemetry* telemetry() const { return telemetry_.get(); }
+
+  /// ## Pipeline verdicts (thread-safe, any thread, no barrier)
   ///
-  /// The HTTP endpoints are thin wrappers over these. They never touch
-  /// live engine state: workers and the router publish snapshots into
-  /// mutex-guarded slots (throttled by options.publish_interval_ms), and
-  /// these methods read the latest published copy plus always-safe
-  /// atomics. All are empty/"disabled" unless options.enable_introspection
-  /// (or introspect_port >= 0).
+  /// Built from always-safe atomics and the plane's watchdog stamps; the
+  /// introspection server's /healthz and /statusz are thin wrappers.
 
   /// The introspection server's bound port, or -1 when no server runs.
-  int introspection_port() const;
+  int introspection_port() const {
+    return telemetry_ != nullptr ? telemetry_->port() : -1;
+  }
 
   /// Per-worker staleness verdict; see
-  /// ShardedMonitorOptions::staleness_budget_ms.
+  /// ShardedMonitorOptions::staleness_budget_ms. "disabled" without the
+  /// plane, "alerting" while a page-severity alert fires.
   obs::HealthReport HealthSnapshot() const;
 
   /// Pipeline snapshot: per-worker ticks, ring occupancy and contention,
   /// pending candidates, checkpoint age, uptime.
   obs::StatusReport StatusSnapshot() const;
 
-  /// Fleet-merged metrics as of each worker's last publish (the live
-  /// equivalent is MergedMetricsSnapshot, which requires the caller
-  /// thread).
-  obs::MetricsSnapshot PublishedMetricsSnapshot() const;
-
-  /// Recent match-lifecycle trace events across workers, as of the last
-  /// publish.
-  obs::TracezReport PublishedTraces() const;
-
-  /// Recent completed end-to-end tick spans (/spanz), as of the router's
-  /// last publish. Empty unless introspection + span sampling are on.
-  obs::SpanzReport PublishedSpans() const;
-
-  /// /queryz document: live queries ranked by cost (cells desc), top-K, as
-  /// of the last published cost snapshot. "{}" shape with empty list
-  /// unless collect_metrics is on and a barrier has run.
-  std::string QueryzJson() const;
-
-  /// /streamz document: per-stream cost aggregation, same snapshot
-  /// discipline as QueryzJson.
-  std::string StreamzJson() const;
-
-  /// Router thread only: folds the current published fleet snapshot into
-  /// the metrics timeline and runs one alert-evaluation pass. Called
-  /// automatically at router publish points; embedders whose router thread
-  /// idles (the net server's event loop) call it periodically so absence
-  /// rules and resolve transitions happen without traffic. Throttled to
-  /// publish_interval_ms unless `force`; no-op (and allocation-free)
-  /// unless the timeline is enabled.
-  void PollTimeline(bool force = false);
-  bool timeline_enabled() const { return timeline_; }
-
-  /// /timez document for a raw URL query string ("metric=...&window=..."),
-  /// or the channel catalog when the query names no metric. Thread-safe;
-  /// "{}"-shaped empty document when the timeline is disabled.
-  std::string TimezJson(const std::string& query) const;
-
-  /// /alertz document: every rule's state, observation, and transition
-  /// counters. Thread-safe; empty rule list when alerting is disabled.
-  std::string AlertzJson() const;
-
-  /// Current rule statuses, for embedders and tests.
-  std::vector<obs::AlertStatus> AlertStatuses() const;
-
-  /// Installs a hook invoked on the router thread for every completed span
-  /// just before it is recorded, so an embedding layer (the net server)
-  /// can stamp its own final stage (subscriber_write_nanos). Set before
-  /// Start(); pass nullptr to detach.
-  using SpanFinalizer = std::function<void(obs::TickSpan*)>;
-  void SetSpanFinalizer(SpanFinalizer finalizer);
-
-  /// Registers a callback whose snapshot is appended to
-  /// PublishedMetricsSnapshot() merges — how an embedding layer (e.g. the
-  /// net serving layer) splices its own metric families into the monitor's
-  /// /metrics exposition. The callback runs on whatever thread scrapes
-  /// (the introspection server's), so it must be thread-safe; set it
-  /// before traffic starts. Pass nullptr to detach.
-  void SetAuxMetricsProvider(std::function<obs::MetricsSnapshot()> provider);
+  /// Router thread only: the plane's throttled publish (Telemetry::Poll),
+  /// at most once per publish_interval_ms unless `force`. Router publish
+  /// points call it; embedders whose router thread idles (the net server's
+  /// event loop) call it periodically so absence rules and resolve
+  /// transitions happen without traffic. No-op without the plane.
+  void PollTimeline(bool force = false) {
+    if (telemetry_ != nullptr) telemetry_->Poll(force);
+  }
 
   /// Barrier, then aggregate matcher working-set bytes across shards.
   util::MemoryFootprint Footprint();
@@ -381,8 +300,8 @@ class ShardedMonitor {
     /// Global sequence number of values[0]; the message's values carry
     /// consecutive numbers (the router never stages across other pushes).
     uint64_t seq0 = 0;
-    /// Profiler stamp taken just before the router enqueues (0 when
-    /// profiling is off); the worker's pop time minus this is the
+    /// Stamp taken just before the router enqueues a span-sampled message
+    /// (0 otherwise); the worker's pop time minus this is the
     /// ring_residency stage latency.
     uint64_t enqueue_nanos = 0;
     /// Span sampling: index into values[] of the sampled tick, or -1 when
@@ -398,9 +317,9 @@ class ShardedMonitor {
   struct PendingMatch {
     uint64_t seq = 0;
     int64_t global_query_id = 0;
-    /// Profiler stamp taken when the worker buffered the match (0 when
-    /// profiling is off); delivery time minus this is the delivery_delay
-    /// stage latency.
+    /// Profiler stamp taken when the worker buffered the match (0 without
+    /// the plane); delivery time minus this is the delivery_delay stage
+    /// latency.
     uint64_t buffered_nanos = 0;
     core::Match match;
   };
@@ -413,54 +332,26 @@ class ShardedMonitor {
     std::unique_ptr<MonitorEngine> engine;
     std::unique_ptr<SpscQueue<TickMessage>> queue;
     std::unique_ptr<CallbackSink> sink;
-    std::unique_ptr<obs::Observability> obs;
     std::thread thread;
+    /// This worker's half of the plane; null when telemetry is off.
+    ShardTelemetry* telemetry = nullptr;
 
     /// Messages routed (caller thread) / fully processed (worker thread).
     std::atomic<uint64_t> produced{0};
     std::atomic<uint64_t> consumed{0};
 
-    /// Worker-side ingest context for sequence attribution.
+    /// Global seq of the message being ingested (worker thread).
     uint64_t msg_seq0 = 0;
-    int64_t msg_base_tick = 0;
-    bool flushing = false;
-    /// Ticks each local stream has consumed (mirrors engine state).
-    std::vector<int64_t> stream_ticks;
     /// Local id -> global id maps.
     std::vector<int64_t> global_stream_ids;
     std::vector<int64_t> global_query_ids;
     /// Matches buffered since the last barrier.
     std::vector<PendingMatch> matches;
-    /// Sampled spans whose worker stages are complete, awaiting barrier
-    /// delivery stamps. Same visibility rule as `matches`.
-    std::vector<obs::TickSpan> pending_spans;
 
-    /// Stage-latency handles in this shard's registry, resolved once at
-    /// construction; null unless collect_metrics.
-    obs::Histogram* stage_ring_residency = nullptr;
-    obs::Histogram* stage_worker_pass = nullptr;
-
-    /// ## Introspection (cross-thread; unused unless enable_introspection)
-    ///
-    /// Watchdog stamp: monotonic nanos of the worker's last completed
-    /// message (and of thread start).
-    std::atomic<uint64_t> last_progress_nanos{0};
-    /// Values this worker has ingested (worker thread writes, server
+    /// Streams/queries placed on this shard (router writes, /statusz
     /// reads).
-    std::atomic<int64_t> ticks_ingested{0};
-    /// Streams/queries placed on this shard (router writes, server reads).
     std::atomic<int64_t> stream_count{0};
     std::atomic<int64_t> query_count{0};
-    /// Pending-candidate count as of the last publish.
-    std::atomic<int64_t> pending_candidates{0};
-    /// Worker-local publish throttle clock; worker thread only.
-    uint64_t last_publish_nanos = 0;
-    /// Latest published snapshot, read by the introspection methods.
-    mutable util::Mutex publish_mu;
-    obs::MetricsSnapshot published_metrics SPRINGDTW_GUARDED_BY(publish_mu);
-    std::vector<obs::TraceEvent> published_traces
-        SPRINGDTW_GUARDED_BY(publish_mu);
-    int64_t published_trace_dropped SPRINGDTW_GUARDED_BY(publish_mu) = 0;
   };
 
   struct StreamInfo {
@@ -491,20 +382,6 @@ class ShardedMonitor {
     int64_t last_match_seq = -1;
   };
 
-  /// Per-ring instrument handles in the router registry, plus the counter
-  /// deltas already exported (counters are monotonic; the queue exposes
-  /// totals, the registry wants increments).
-  struct RingObs {
-    obs::Gauge* occupancy = nullptr;
-    obs::Gauge* capacity = nullptr;
-    obs::Counter* blocked_pushes = nullptr;
-    obs::Counter* producer_parks = nullptr;
-    obs::Counter* consumer_parks = nullptr;
-    uint64_t blocked_exported = 0;
-    uint64_t producer_parks_exported = 0;
-    uint64_t consumer_parks_exported = 0;
-  };
-
   void WorkerLoop(Shard* shard);
   /// Repairs + stages one value (stream already validated).
   void RouteValue(StreamInfo& stream, double value,
@@ -516,27 +393,21 @@ class ShardedMonitor {
   /// Merges, orders, and dispatches all shards' buffered matches; updates
   /// per-query stats. Caller must hold the drain barrier.
   int64_t DeliverPending();
-  /// Worker thread: snapshots the shard registry/trace ring into the
-  /// shard's published slot. Runs before the message's `consumed` release,
-  /// so post-barrier the router may mutate the registry safely.
-  void PublishShard(Shard* shard, uint64_t now_nanos);
-  /// Router thread: refreshes ring metrics and snapshots the router
-  /// registry into its published slot.
+  /// Router thread: refreshes ring metrics, then publishes the router
+  /// half of the plane. Requires the plane.
   void PublishRouter(uint64_t now_nanos);
-  /// Router thread: brings ring occupancy gauges and contention counters
-  /// up to date in the router registry.
+  /// Router thread: brings the plane's ring metrics up to date.
   void RefreshRingMetrics();
   /// Shared staleness verdict for HealthSnapshot/StatusSnapshot.
   obs::WorkerHealth WorkerHealthFor(int64_t worker, uint64_t now_nanos) const;
-  /// Observes one completed span into the spring_e2e_latency_nanos stage
-  /// histograms (router registry). Absent stages (0 stamps) are skipped.
-  void ObserveSpan(const obs::TickSpan& span);
   /// Router thread, post-barrier only (reads shard engines): refreshes the
   /// per-query cost cache (QueryInfo::cells/est_cpu_nanos) and publishes a
-  /// ranked CostSnapshot for /queryz and /streamz.
+  /// ranked CostSnapshot for /queryz and /streamz. No-op without the plane.
   void RefreshCostAccounting();
 
   ShardedMonitorOptions options_;
+  /// Declared before shards_ so the engines it observes die first.
+  std::unique_ptr<Telemetry> telemetry_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<StreamInfo> streams_;
   std::vector<QueryInfo> queries_;
@@ -555,63 +426,14 @@ class ShardedMonitor {
   /// Scratch for DeliverPending.
   std::vector<PendingMatch> delivery_scratch_;
 
-  /// Pipeline profiler (set iff collect_metrics): router-side registry
-  /// holding the router_enqueue/delivery_delay stages and the per-ring
-  /// metrics. Router thread only; the server reads the published copy.
-  bool profile_ = false;
-  std::unique_ptr<obs::Observability> router_obs_;
-  obs::Histogram* stage_router_enqueue_ = nullptr;
-  obs::Histogram* stage_delivery_delay_ = nullptr;
-  std::vector<RingObs> ring_obs_;
-
-  /// End-to-end span sampling (iff introspection + span_sample_every > 0).
-  /// The ring and scratch are router-thread-only; readers get the
-  /// published copy.
-  int64_t span_every_ = 0;
-  /// Ticks until the next span claim; starts at 1 so the first tick is
-  /// sampled, then resets to span_every_ on each cadence point.
+  /// Ticks until the next span claim (plane only); starts at 1 so the
+  /// first tick is sampled, then resets to Telemetry::kSampleEvery.
   int64_t span_countdown_ = 1;
-  obs::SpanRing span_ring_;
-  std::vector<obs::TickSpan> span_scratch_;
-  SpanFinalizer span_finalizer_;
-  /// spring_e2e_latency_nanos stage handles (router registry); null unless
-  /// profiling.
-  obs::Histogram* e2e_client_to_server_ = nullptr;
-  obs::Histogram* e2e_ingest_to_enqueue_ = nullptr;
-  obs::Histogram* e2e_ring_residency_ = nullptr;
-  obs::Histogram* e2e_worker_pass_ = nullptr;
-  obs::Histogram* e2e_delivery_wait_ = nullptr;
-  obs::Histogram* e2e_subscriber_write_ = nullptr;
-  obs::Histogram* e2e_total_ = nullptr;
 
-  /// Introspection state (used iff enable_introspection).
-  bool introspect_ = false;
-  uint64_t publish_interval_nanos_ = 0;
-  uint64_t router_last_publish_nanos_ = 0;
+  /// /statusz counters and stamps.
   uint64_t start_nanos_ = 0;
   std::atomic<int64_t> matches_delivered_{0};
   std::atomic<uint64_t> last_checkpoint_nanos_{0};
-  mutable util::Mutex router_publish_mu_;
-  obs::MetricsSnapshot router_published_metrics_
-      SPRINGDTW_GUARDED_BY(router_publish_mu_);
-  obs::SpanzReport published_spans_ SPRINGDTW_GUARDED_BY(router_publish_mu_);
-  CostSnapshot published_costs_ SPRINGDTW_GUARDED_BY(router_publish_mu_);
-  std::function<obs::MetricsSnapshot()> aux_metrics_provider_;
-  std::unique_ptr<obs::IntrospectionServer> server_;
-
-  /// Timeline + alerting (iff timeline_). Fed on the router thread at
-  /// publish points, read by the server thread; both sides take
-  /// timeline_mu_. The throttle clock is router-thread-only.
-  bool timeline_ = false;
-  uint64_t timeline_last_poll_nanos_ = 0;
-  mutable util::Mutex timeline_mu_;
-  std::unique_ptr<obs::MetricsTimeline> metrics_timeline_
-      SPRINGDTW_GUARDED_BY(timeline_mu_);
-  std::unique_ptr<obs::AlertEngine> alert_engine_
-      SPRINGDTW_GUARDED_BY(timeline_mu_);
-  obs::TraceRing alert_trace_ SPRINGDTW_GUARDED_BY(timeline_mu_);
-  /// Latest AnyFiringPage() verdict, read lock-free by health scrapes.
-  std::atomic<bool> alert_page_firing_{false};
 };
 
 }  // namespace monitor

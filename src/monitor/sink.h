@@ -24,6 +24,10 @@ struct MatchOrigin {
   /// producing tick). With query_id it forms the stable identity the
   /// durability layer dedups match delivery by (docs/DURABILITY.md).
   int64_t global_seq = -1;
+  /// Index of the reporting tick within the Push/PushBatch run that
+  /// produced the match; -1 for flushed candidates. ShardedMonitor adds it
+  /// to the run's first global seq to get global_seq.
+  int64_t batch_offset = -1;
 };
 
 /// Destination for reported matches. Implementations must not block for

@@ -138,21 +138,28 @@ util::Status StreamServer::Start() {
     monitor_->AddSink(sink_.get());
     sink_registered_ = true;
   }
-  // Sampled-tick spans finalize on the router thread (= loop thread) at the
-  // drain barrier, after OnMatch appended this barrier's MATCH_EVENT frames
-  // to subscriber buffers — so the stamp covers serialization + fan-out.
-  monitor_->SetSpanFinalizer([this](obs::TickSpan* span) {
-    span->subscriber_write_nanos = NowNanos();
-  });
+  if (monitor::Telemetry* telemetry = monitor_->telemetry()) {
+    // Sampled-tick spans finalize on the router thread (= loop thread) at
+    // the drain barrier, after OnMatch appended this barrier's MATCH_EVENT
+    // frames to subscriber buffers — so the stamp covers serialization +
+    // fan-out.
+    telemetry->SetSpanFinalizer([](obs::TickSpan* span) {
+      span->subscriber_write_nanos = NowNanos();
+    });
+    // Also on the router thread, so the loop-thread-only registry needs no
+    // published copy of its own.
+    telemetry->SetAuxMetricsProvider([this] {
+      if (wal_ == nullptr) return registry_.Snapshot();
+      return obs::MergeSnapshots(
+          {registry_.Snapshot(), wal_->MetricsSnapshot()});
+    });
+  }
 
   // order: release ×2 — pairs with running()'s acquire: a caller that sees
   // running_ == true also sees the bound port and loop state above.
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  const uint64_t now = NowNanos();
-  last_checkpoint_nanos_ = now;
-  last_publish_nanos_ = 0;
-  PublishMetrics(now, /*force=*/true);
+  last_checkpoint_nanos_ = NowNanos();
   loop_thread_ = std::thread([this] { LoopThread(); });
   return util::Status::Ok();
 }
@@ -164,16 +171,15 @@ void StreamServer::Stop() {
   stop_.store(true, std::memory_order_release);
   if (loop_thread_.joinable()) loop_thread_.join();
   // The join handed the router role back; later embedder drains should not
-  // stamp subscriber_write on spans the server never saw.
-  monitor_->SetSpanFinalizer(nullptr);
+  // stamp subscriber_write on spans the server never saw, nor read this
+  // server's registry.
+  if (monitor::Telemetry* telemetry = monitor_->telemetry()) {
+    telemetry->SetSpanFinalizer(nullptr);
+    telemetry->SetAuxMetricsProvider(nullptr);
+  }
   // order: release — pairs with running()'s acquire; the join above is the
   // real synchronization edge, the flag just reports it.
   running_.store(false, std::memory_order_release);
-}
-
-obs::MetricsSnapshot StreamServer::MetricsSnapshot() const {
-  util::MutexLock lock(&publish_mu_);
-  return published_metrics_;
 }
 
 obs::Counter* StreamServer::FrameCounter(FrameType type) {
@@ -255,11 +261,10 @@ void StreamServer::LoopThread() {
     connections_gauge_->Set(static_cast<double>(connections_.size()));
 
     MaybePeriodicCheckpoint(now);
-    PublishMetrics(now, /*force=*/false);
-    // Keep the metrics timeline and alert state machine advancing through
-    // idle stretches (absence rules and firing->resolved transitions need
-    // evaluation passes, not traffic). No-op when the timeline is off;
-    // throttled to the monitor's publish interval.
+    // The monitor's throttled telemetry publish: picks up this server's
+    // families and keeps the timeline and alert state machine advancing
+    // through idle stretches (absence rules and firing->resolved
+    // transitions need evaluation passes, not traffic).
     monitor_->PollTimeline();
   }
 
@@ -275,7 +280,7 @@ void StreamServer::LoopThread() {
     close(listen_fd_);
     listen_fd_ = -1;
   }
-  PublishMetrics(NowNanos(), /*force=*/true);
+  monitor_->PollTimeline(/*force=*/true);
 }
 
 void StreamServer::AcceptPending(uint64_t now_nanos) {
@@ -843,16 +848,6 @@ void StreamServer::CloseConnection(Connection* conn) {
   conn->in.clear();
   conn->out.clear();
   conn->out_offset = 0;
-}
-
-void StreamServer::PublishMetrics(uint64_t now_nanos, bool force) {
-  const uint64_t interval =
-      static_cast<uint64_t>(options_.publish_interval_ms * 1e6);
-  if (!force && now_nanos - last_publish_nanos_ < interval) return;
-  last_publish_nanos_ = now_nanos;
-  obs::MetricsSnapshot snapshot = registry_.Snapshot();
-  util::MutexLock lock(&publish_mu_);
-  published_metrics_ = std::move(snapshot);
 }
 
 void StreamServer::MaybePeriodicCheckpoint(uint64_t now_nanos) {

@@ -14,9 +14,7 @@
 #include "monitor/sink.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 #include "wal/wal.h"
 
 namespace springdtw {
@@ -48,14 +46,13 @@ struct StreamServerOptions {
   /// closed; 0 disables the idle timeout.
   double idle_timeout_ms = 0.0;
   /// poll() tick, which also bounds Stop() latency and the cadence of
-  /// periodic duties (idle sweep, checkpoint, metrics publish).
+  /// periodic duties (idle sweep, checkpoint, the monitor's throttled
+  /// telemetry publish).
   double poll_interval_ms = 50.0;
   /// Periodic checkpoint cadence; 0 disables. Requires a checkpoint
   /// callback (SetCheckpointFn). Checkpoints run on the event-loop thread
   /// between frames, so they are barrier-consistent.
   double checkpoint_period_ms = 0.0;
-  /// Metrics publish throttle for MetricsSnapshot().
-  double publish_interval_ms = 100.0;
   /// Advertised in HELLO_ACK.
   std::string server_name = "springdtw_serve";
 };
@@ -136,7 +133,10 @@ class StreamServer {
   void SetRecoveredMatches(std::vector<RecoveredMatch> matches);
 
   /// Binds, listens, and spawns the event-loop thread. The monitor must
-  /// already be started.
+  /// already be started. When the monitor runs its telemetry plane, the
+  /// server's spring_net_* families (and, after SetWal, the WAL's
+  /// spring_wal_* families) join its published metrics, snapshotted on
+  /// the loop thread at the plane's throttled publish.
   util::Status Start();
 
   /// Signals the loop, closes every connection, joins the thread.
@@ -152,11 +152,6 @@ class StreamServer {
 
   /// Bound port (valid after Start), -1 before.
   int port() const { return port_; }
-
-  /// Latest published copy of the server's metric families
-  /// (spring_net_*). Thread-safe; wire into
-  /// ShardedMonitor::SetAuxMetricsProvider to splice these into /metrics.
-  obs::MetricsSnapshot MetricsSnapshot() const;
 
   /// Loop-thread counters for tests (racy reads are fine post-Stop).
   int64_t total_connections() const {
@@ -237,7 +232,6 @@ class StreamServer {
   void MaybeTruncateWal();
   bool AllSubscribersFlushed() const;
   void CloseConnection(Connection* conn);
-  void PublishMetrics(uint64_t now_nanos, bool force);
   void MaybePeriodicCheckpoint(uint64_t now_nanos);
   obs::Counter* FrameCounter(FrameType type);
 
@@ -281,8 +275,8 @@ class StreamServer {
   /// point.
   bool truncate_pending_ = false;
 
-  /// Metrics: registry mutated on the loop thread only; published copies
-  /// guarded by the mutex for any-thread reads.
+  /// spring_net_* families: loop thread only; the monitor's telemetry
+  /// plane snapshots them on this thread (see Start()).
   obs::MetricsRegistry registry_;
   obs::Gauge* connections_gauge_ = nullptr;
   obs::Counter* bytes_rx_ = nullptr;
@@ -291,9 +285,6 @@ class StreamServer {
   obs::Counter* protocol_errors_ = nullptr;
   obs::Histogram* ingest_report_latency_ms_ = nullptr;
   std::vector<obs::Counter*> frame_counters_;
-  uint64_t last_publish_nanos_ = 0;
-  mutable util::Mutex publish_mu_;
-  obs::MetricsSnapshot published_metrics_ SPRINGDTW_GUARDED_BY(publish_mu_);
 
   std::atomic<int64_t> total_connections_{0};
   std::atomic<int64_t> slow_disconnects_{0};

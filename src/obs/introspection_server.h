@@ -6,15 +6,12 @@
 #include <functional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace springdtw {
 namespace obs {
@@ -38,7 +35,7 @@ struct WorkerHealth {
 
 struct HealthReport {
   bool healthy = true;
-  /// "ok", "stale", "stopped", or "disabled" (introspection not attached).
+  /// "ok", "stale", "alerting", "stopped", or "disabled" (no telemetry).
   std::string state = "ok";
   double staleness_budget_ms = 0.0;
   std::vector<WorkerHealth> workers;
@@ -187,63 +184,6 @@ class IntrospectionServer {
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> requests_served_{0};
   std::thread thread_;
-};
-
-/// Thread-safe published-snapshot store for single-threaded pipelines: the
-/// ingest thread publishes periodic snapshots, the server thread reads the
-/// latest. Handlers() binds the cache to an IntrospectionHandlers bundle;
-/// the cache must outlive the server using it.
-class IntrospectionCache {
- public:
-  void PublishMetrics(MetricsSnapshot snapshot) {
-    util::MutexLock lock(&mu_);
-    metrics_ = std::move(snapshot);
-  }
-  void PublishHealth(HealthReport health) {
-    util::MutexLock lock(&mu_);
-    health_ = std::move(health);
-  }
-  void PublishStatus(StatusReport status) {
-    util::MutexLock lock(&mu_);
-    status_ = std::move(status);
-  }
-  void PublishTraces(TracezReport traces) {
-    util::MutexLock lock(&mu_);
-    traces_ = std::move(traces);
-  }
-
-  MetricsSnapshot Metrics() const {
-    util::MutexLock lock(&mu_);
-    return metrics_;
-  }
-  HealthReport Health() const {
-    util::MutexLock lock(&mu_);
-    return health_;
-  }
-  StatusReport Status() const {
-    util::MutexLock lock(&mu_);
-    return status_;
-  }
-  TracezReport Traces() const {
-    util::MutexLock lock(&mu_);
-    return traces_;
-  }
-
-  IntrospectionHandlers Handlers() {
-    IntrospectionHandlers handlers;
-    handlers.metrics = [this] { return Metrics(); };
-    handlers.health = [this] { return Health(); };
-    handlers.status = [this] { return Status(); };
-    handlers.traces = [this] { return Traces(); };
-    return handlers;
-  }
-
- private:
-  mutable util::Mutex mu_;
-  MetricsSnapshot metrics_ SPRINGDTW_GUARDED_BY(mu_);
-  HealthReport health_ SPRINGDTW_GUARDED_BY(mu_);
-  StatusReport status_ SPRINGDTW_GUARDED_BY(mu_);
-  TracezReport traces_ SPRINGDTW_GUARDED_BY(mu_);
 };
 
 }  // namespace obs

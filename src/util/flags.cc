@@ -25,39 +25,61 @@ FlagParser::FlagParser(int argc, char** argv) {
   }
 }
 
+const std::string* FlagParser::Find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it != values_.end() ? &it->second : nullptr;
+}
+
 bool FlagParser::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
-  const auto it = values_.find(name);
-  return it != values_.end() ? it->second : default_value;
+  const std::string* value = Find(name);
+  return value != nullptr ? *value : default_value;
 }
 
 int64_t FlagParser::GetInt64(const std::string& name,
                              int64_t default_value) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
   int64_t out = 0;
-  return ParseInt64(it->second, &out) ? out : default_value;
+  if (ParseInt64(*value, &out)) return out;
+  malformed_.insert(name);
+  return default_value;
 }
 
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
   double out = 0.0;
-  return ParseDouble(it->second, &out) ? out : default_value;
+  if (ParseDouble(*value, &out)) return out;
+  malformed_.insert(name);
+  return default_value;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
+  if (*value == "true" || *value == "1" || *value == "yes") return true;
+  if (*value == "false" || *value == "0" || *value == "no") return false;
+  malformed_.insert(name);
   return default_value;
+}
+
+std::vector<std::string> FlagParser::Errors() const {
+  std::vector<std::string> errors;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      errors.push_back("unknown flag --" + name);
+    } else if (malformed_.count(name) > 0) {
+      errors.push_back("malformed --" + name + "=" + value);
+    }
+  }
+  return errors;
 }
 
 }  // namespace util

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,21 @@ class FlagParser {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_name_; }
 
+  /// For tools that refuse bad input: one message per given flag that no
+  /// getter (or Has) asked for ("unknown flag --name") and per value a
+  /// getter could not parse ("malformed --name=value"). Call after reading
+  /// every accepted flag.
+  std::vector<std::string> Errors() const;
+
  private:
+  /// The flag's value, or null when absent; marks the flag as read.
+  const std::string* Find(const std::string& name) const;
+
   std::string program_name_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
+  mutable std::set<std::string> malformed_;
 };
 
 }  // namespace util

@@ -375,7 +375,7 @@ TEST(MonitorConcurrencyTest, IntrospectionSnapshotsRaceFreeWhileIngesting) {
   ShardedMonitorOptions options;
   options.num_workers = 4;
   options.queue_capacity = 8;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;  // republish on every message
   options.staleness_budget_ms = 60000.0;  // never flips during the test
   ShardedMonitor monitor(options);
@@ -401,8 +401,8 @@ TEST(MonitorConcurrencyTest, IntrospectionSnapshotsRaceFreeWhileIngesting) {
       EXPECT_TRUE(health.healthy) << health.state;
       const obs::StatusReport status = monitor.StatusSnapshot();
       EXPECT_EQ(status.role, "sharded_monitor");
-      (void)monitor.PublishedMetricsSnapshot();
-      (void)monitor.PublishedTraces();
+      (void)monitor.telemetry()->PublishedMetricsSnapshot();
+      (void)monitor.telemetry()->PublishedTraces();
       snapshots_taken.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     }
@@ -430,25 +430,23 @@ TEST(MonitorConcurrencyTest, IntrospectionSnapshotsRaceFreeWhileIngesting) {
 }
 
 TEST(MonitorConcurrencyTest, SpanStagesStayMonotoneUnderStress) {
-  // End-to-end span sampling at its most aggressive (every tick sampled,
-  // tiny ring forcing wrap-around) while a scraper thread hammers the
-  // span/cost snapshot accessors. Two invariants under TSan:
+  // End-to-end span sampling (1 in 64 ticks) over enough ticks to wrap the
+  // 256-span ring, while a scraper thread hammers the span/cost snapshot
+  // accessors. Two invariants under TSan:
   //   * the publish protocol stays race-free (TSan verdict), and
   //   * every completed span's stage timestamps are monotone in pipeline
   //     order — each stamp is taken on one monotonic clock strictly after
   //     the previous stage's, across three threads (router -> worker ->
   //     router), so any inversion means a broken happens-before edge.
   constexpr int kStreams = 4;
-  constexpr int64_t kTicks = 1500;
+  constexpr int64_t kTicks = 5000;  // 20000 values: ~312 spans
 
   ShardedMonitorOptions options;
   options.num_workers = 4;
   options.queue_capacity = 8;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;
   options.staleness_budget_ms = 60000.0;
-  options.span_sample_every = 1;
-  options.span_ring_capacity = 64;
   ShardedMonitor monitor(options);
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -467,9 +465,9 @@ TEST(MonitorConcurrencyTest, SpanStagesStayMonotoneUnderStress) {
   std::atomic<bool> done{false};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      (void)monitor.PublishedSpans();
-      (void)monitor.QueryzJson();
-      (void)monitor.StreamzJson();
+      (void)monitor.telemetry()->PublishedSpans();
+      (void)monitor.telemetry()->QueryzJson();
+      (void)monitor.telemetry()->StreamzJson();
       std::this_thread::yield();
     }
   });
@@ -488,9 +486,9 @@ TEST(MonitorConcurrencyTest, SpanStagesStayMonotoneUnderStress) {
   done.store(true, std::memory_order_release);
   scraper.join();
 
-  const obs::SpanzReport report = monitor.PublishedSpans();
+  const obs::SpanzReport report = monitor.telemetry()->PublishedSpans();
   ASSERT_FALSE(report.spans.empty());
-  EXPECT_GT(report.dropped, 0) << "every-tick sampling must wrap a 64-ring";
+  EXPECT_GT(report.dropped, 0) << "~312 spans must wrap the 256-span ring";
   uint64_t prev_seq = 0;
   bool first = true;
   for (const obs::TickSpan& span : report.spans) {
@@ -518,7 +516,7 @@ TEST(MonitorConcurrencyTest, TimelineAndAlertScrapesRaceFreeWhileIngesting) {
   // evaluation on every Drain (publish_interval_ms = 0 defeats the poll
   // throttle), while a scraper thread hammers /timez and /alertz render
   // paths plus the health verdict. Timeline and engine live behind the
-  // monitor's timeline mutex and the page verdict rides an atomic — any
+  // plane's timeline mutex and the page verdict rides an atomic — any
   // race TSan finds is a protocol bug.
   constexpr int kStreams = 4;
   constexpr int64_t kTicks = 1500;
@@ -562,9 +560,10 @@ TEST(MonitorConcurrencyTest, TimelineAndAlertScrapesRaceFreeWhileIngesting) {
   std::atomic<int64_t> scrapes{0};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      (void)monitor.TimezJson("");
-      (void)monitor.TimezJson("metric=spring_ticks_total&window=60");
-      const std::string alertz = monitor.AlertzJson();
+      (void)monitor.telemetry()->TimezJson("");
+      (void)monitor.telemetry()->TimezJson(
+          "metric=spring_ticks_total&window=60");
+      const std::string alertz = monitor.telemetry()->AlertzJson();
       EXPECT_NE(alertz.find("\"rules\":["), std::string::npos);
       const obs::HealthReport health = monitor.HealthSnapshot();
       EXPECT_TRUE(health.healthy) << health.state;
@@ -592,9 +591,10 @@ TEST(MonitorConcurrencyTest, TimelineAndAlertScrapesRaceFreeWhileIngesting) {
   EXPECT_GT(scrapes.load(), 0);
   EXPECT_EQ(delivered, expected_total);
   // The barriers drove real evaluation passes over real records.
-  EXPECT_NE(monitor.TimezJson("").find("spring_ticks_total"),
+  EXPECT_NE(monitor.telemetry()->TimezJson("").find("spring_ticks_total"),
             std::string::npos);
-  EXPECT_NE(monitor.AlertzJson().find("\"name\":\"hot\""), std::string::npos);
+  EXPECT_NE(monitor.telemetry()->AlertzJson().find("\"name\":\"hot\""),
+            std::string::npos);
 }
 
 }  // namespace

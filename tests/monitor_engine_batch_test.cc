@@ -348,9 +348,8 @@ TEST(MonitorEngineBatchTest, ShardedBatchedSignalsMatchPerValueEngine) {
 
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;
-  options.introspect_trace_capacity = 1 << 16;
   ShardedMonitor monitor(options);
   monitor.AddStream("hot");
   monitor.AddStream("cold", /*repair_missing=*/false);
@@ -391,7 +390,8 @@ TEST(MonitorEngineBatchTest, ShardedBatchedSignalsMatchPerValueEngine) {
 
   bool saw_opened = false;
   bool saw_improved = false;
-  for (const obs::TraceEvent& event : monitor.PublishedTraces().events) {
+  for (const obs::TraceEvent& event :
+       monitor.telemetry()->PublishedTraces().events) {
     saw_opened |= event.kind == obs::TraceEventKind::kCandidateOpened;
     saw_improved |= event.kind == obs::TraceEventKind::kBestImproved;
   }

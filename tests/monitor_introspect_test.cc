@@ -105,13 +105,46 @@ TEST(MonitorIntrospectTest, DisabledMonitorReportsDisabledHealth) {
   EXPECT_TRUE(health.healthy);
   EXPECT_EQ(health.state, "disabled");
   EXPECT_TRUE(health.workers.empty());
-  EXPECT_TRUE(monitor.PublishedMetricsSnapshot().families.empty());
+  EXPECT_EQ(monitor.telemetry(), nullptr);
+}
+
+// The one switch: collect_metrics alone, with no port, runs the whole
+// plane — published metrics, watchdog verdicts and sampled spans.
+TEST(MonitorIntrospectTest, CollectMetricsAloneRunsTheWholePlane) {
+  ShardedMonitorOptions options;
+  options.num_workers = 2;
+  options.collect_metrics = true;
+  ShardedMonitor monitor(options);
+  ASSERT_NE(monitor.telemetry(), nullptr);
+  EXPECT_EQ(monitor.introspection_port(), -1) << "no port asked for";
+  CollectSink sink;
+  monitor.AddSink(&sink);
+  const int64_t stream_id = monitor.AddStream("s");
+  ASSERT_TRUE(
+      monitor.AddQuery(stream_id, "q", {1.0, 2.0, 3.0}, MatchingOptions())
+          .ok());
+  monitor.Start();
+  // Four span periods: at 1-in-64 sampling at least one span completes.
+  for (const double x : PlantedStream(4 * Telemetry::kSampleEvery)) {
+    ASSERT_TRUE(monitor.Push(stream_id, x).ok());
+  }
+  monitor.Drain();
+
+  const obs::MetricsSnapshot published =
+      monitor.telemetry()->PublishedMetricsSnapshot();
+  EXPECT_NE(published.Find("spring_ticks_total"), nullptr);
+  EXPECT_NE(published.Find("spring_stage_latency_nanos"), nullptr);
+  const obs::HealthReport health = monitor.HealthSnapshot();
+  EXPECT_EQ(health.state, "ok");
+  EXPECT_EQ(health.workers.size(), 2u);
+  EXPECT_FALSE(monitor.telemetry()->PublishedSpans().spans.empty());
+  monitor.Stop();
 }
 
 TEST(MonitorIntrospectTest, WatchdogFlipsStarvedWorkerToStaleAndBack) {
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.staleness_budget_ms = 300.0;
   options.publish_interval_ms = 20.0;
   ShardedMonitor monitor(options);
@@ -188,7 +221,7 @@ TEST(MonitorIntrospectTest, WatchdogFlipsStarvedWorkerToStaleAndBack) {
 TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;  // republish on every message
   ShardedMonitor monitor(options);
   CollectSink sink;
@@ -212,7 +245,8 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
   const int64_t delivered = monitor.FlushAll();
   ASSERT_GT(delivered, 0) << "workload must produce matches";
 
-  const obs::MetricsSnapshot published = monitor.PublishedMetricsSnapshot();
+  const obs::MetricsSnapshot published =
+      monitor.telemetry()->PublishedMetricsSnapshot();
   const obs::FamilySnapshot* stage =
       published.Find("spring_stage_latency_nanos");
   ASSERT_NE(stage, nullptr);
@@ -251,7 +285,7 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
   EXPECT_NE(merged.Find("spring_ring_occupancy"), nullptr);
 
   // Matches flowed, so /tracez has events and /statusz counts them.
-  const obs::TracezReport traces = monitor.PublishedTraces();
+  const obs::TracezReport traces = monitor.telemetry()->PublishedTraces();
   EXPECT_FALSE(traces.events.empty());
   const obs::StatusReport status = monitor.StatusSnapshot();
   EXPECT_EQ(status.role, "sharded_monitor");
@@ -265,7 +299,7 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
 TEST(MonitorIntrospectTest, HealthzEndpointFlipsTo503WhenFeedDies) {
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.introspect_port = 0;  // ephemeral; implies enable_introspection
+  options.introspect_port = 0;  // ephemeral; turns collect_metrics on
   options.staleness_budget_ms = 300.0;
   options.publish_interval_ms = 20.0;
   ShardedMonitor monitor(options);
@@ -320,8 +354,6 @@ TEST(MonitorIntrospectTest, SpanQueryzStreamzEndpointsServeJson) {
   options.num_workers = 2;
   options.introspect_port = 0;
   options.publish_interval_ms = 0.0;
-  options.span_sample_every = 8;
-  options.span_ring_capacity = 128;
   ShardedMonitor monitor(options);
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -342,7 +374,7 @@ TEST(MonitorIntrospectTest, SpanQueryzStreamzEndpointsServeJson) {
   EXPECT_NE(spanz.find("HTTP/1.1 200 OK"), std::string::npos) << spanz;
   EXPECT_NE(spanz.find("\"spans\":["), std::string::npos) << spanz;
   EXPECT_NE(spanz.find("\"server_recv\":"), std::string::npos)
-      << "1000 ticks at 1-in-8 sampling must complete spans";
+      << "1000 ticks at 1-in-64 sampling must complete spans";
   EXPECT_NE(spanz.find("\"dropped\":"), std::string::npos);
 
   const std::string queryz = HttpGet(port, "/queryz");
@@ -485,14 +517,14 @@ TEST(MonitorIntrospectTest, TimezAlertzEndpointsServeJsonAndGateHealthz) {
 }
 
 TEST(MonitorIntrospectTest, DisabledTimelineIsZeroCostAndServesEmptyDocs) {
-  // Timeline + alerting off (the default, even with introspection on): the
+  // Timeline + alerting off (the default, even with telemetry on): the
   // publish-cadence hook must be an allocation-free no-op and the
   // endpoints must degrade to empty documents rather than 404.
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   ShardedMonitor monitor(options);
-  EXPECT_FALSE(monitor.timeline_enabled());
+  EXPECT_FALSE(monitor.telemetry()->timeline_enabled());
   CollectSink sink;
   monitor.AddSink(&sink);
   const int64_t stream_id = monitor.AddStream("s");
@@ -510,10 +542,10 @@ TEST(MonitorIntrospectTest, DisabledTimelineIsZeroCostAndServesEmptyDocs) {
     EXPECT_EQ(check.Allocations(), 0);
     EXPECT_EQ(check.Bytes(), 0);
   }
-  EXPECT_EQ(monitor.TimezJson(""),
+  EXPECT_EQ(monitor.telemetry()->TimezJson(""),
             "{\"tiers\":[],\"records\":0,\"dropped_channels\":0,"
             "\"channels\":[]}");
-  EXPECT_EQ(monitor.AlertzJson(),
+  EXPECT_EQ(monitor.telemetry()->AlertzJson(),
             "{\"rules\":[],\"firing\":0,\"firing_page\":0}");
   monitor.Stop();
 }

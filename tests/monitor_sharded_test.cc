@@ -242,6 +242,49 @@ TEST_P(ShardedMonitorTest, CheckpointReshardsIntoAnyWorkerCount) {
   second.Stop();
 }
 
+// A query added mid-stream counts start, end and report_time in its own
+// tick clock, but its matches carry the stream-wide seq of the reporting
+// tick: the key that orders delivery and that the WAL's delivery watermark
+// compares against.
+TEST_P(ShardedMonitorTest, LateQueryMatchCarriesStreamSeq) {
+  ShardedMonitorOptions options;
+  options.num_workers = GetParam();
+  ShardedMonitor monitor(options);
+  CollectSink sink;
+  monitor.AddSink(&sink);
+  const core::SpringOptions eps{.epsilon = 0.5};
+  const int64_t other = monitor.AddStream("other");
+  const int64_t stream = monitor.AddStream("s");
+  ASSERT_TRUE(monitor.AddQuery(stream, "early", {1.0, 2.0, 3.0}, eps).ok());
+  monitor.Start();
+  for (int t = 0; t < 50; ++t) {
+    ASSERT_TRUE(monitor.Push(stream, 9.0).ok());
+    ASSERT_TRUE(monitor.Push(other, 9.0).ok());
+  }
+  // Seqs 0..99 are taken: the pattern lands on seqs 100..102 and both
+  // queries report on the 9.0 at seq 103.
+  ASSERT_TRUE(monitor.AddQuery(stream, "late", {1.0, 2.0, 3.0}, eps).ok());
+  for (const double x : {1.0, 2.0, 3.0, 9.0}) {
+    ASSERT_TRUE(monitor.Push(stream, x).ok());
+  }
+  monitor.FlushAll();
+  monitor.Stop();
+
+  ASSERT_EQ(sink.entries().size(), 2u);
+  const CollectSink::Entry& early = sink.entries()[0];
+  const CollectSink::Entry& late = sink.entries()[1];
+  ASSERT_EQ(early.origin.query_name, "early")
+      << "same reporting seq: the query id breaks the tie";
+  ASSERT_EQ(late.origin.query_name, "late");
+  EXPECT_EQ(early.origin.global_seq, 103);
+  EXPECT_EQ(late.origin.global_seq, 103);
+  EXPECT_EQ(early.match.start, 50);
+  EXPECT_EQ(early.match.report_time, 53);
+  EXPECT_EQ(late.match.start, 0);
+  EXPECT_EQ(late.match.report_time, 3);
+  EXPECT_EQ(monitor.ListQueries()[1].last_match_seq, 103);
+}
+
 TEST(ShardedMonitorTest, MergedMetricsSumAcrossShards) {
   const Workload w = MakeWorkload(5, 2000);
   ShardedMonitorOptions options;

@@ -33,6 +33,8 @@
 #include "util/random.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
+#include "wal/env.h"
+#include "wal/wal.h"
 
 namespace springdtw {
 namespace net {
@@ -310,11 +312,8 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
 
   ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = GetParam();
-  monitor_options.enable_introspection = true;
+  monitor_options.collect_metrics = true;
   monitor_options.publish_interval_ms = 0.0;
-  monitor_options.span_sample_every = 4;
-  monitor_options.span_ring_capacity = 512;
-  monitor_options.cost_sample_every = 8;
   ShardedMonitor monitor(monitor_options);
   monitor.Start();
   StreamServer server(&monitor, StreamServerOptions{});
@@ -354,7 +353,7 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
   // Spans completed end-to-end: the client's v2 send stamp survived to the
   // span, and the server's finalizer stamped the fan-out write, with every
   // stage monotone (one machine, one monotonic clock).
-  const obs::SpanzReport spans = monitor.PublishedSpans();
+  const obs::SpanzReport spans = monitor.telemetry()->PublishedSpans();
   ASSERT_FALSE(spans.spans.empty());
   for (const obs::TickSpan& span : spans.spans) {
     EXPECT_GT(span.client_send_nanos, 0u) << "client stamps v2 ticks";
@@ -698,12 +697,13 @@ TEST(NetServerBackpressureTest, SlowSubscriberIsDisconnected) {
 TEST(NetServerConcurrencyTest, ConcurrentClientsAndScrapes) {
   ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = 4;
-  monitor_options.enable_introspection = true;
+  monitor_options.collect_metrics = true;
+  // Every poll round republishes the server's families on the loop thread
+  // while this thread scrapes them.
+  monitor_options.publish_interval_ms = 0.0;
   ShardedMonitor monitor(monitor_options);
   monitor.Start();
-  StreamServerOptions server_options;
-  server_options.publish_interval_ms = 0.0;
-  StreamServer server(&monitor, server_options);
+  StreamServer server(&monitor, StreamServerOptions{});
   server.SetCheckpointFn([&monitor]() -> util::StatusOr<uint64_t> {
     return static_cast<uint64_t>(monitor.SerializeState().size());
   });
@@ -755,9 +755,8 @@ TEST(NetServerConcurrencyTest, ConcurrentClientsAndScrapes) {
 
   // Scrape the thread-safe snapshots while the clients hammer the server.
   while (done.load() < kClients) {
-    (void)monitor.PublishedMetricsSnapshot();
+    (void)monitor.telemetry()->PublishedMetricsSnapshot();
     (void)monitor.HealthSnapshot();
-    (void)server.MetricsSnapshot();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (auto& thread : threads) thread.join();
@@ -772,19 +771,34 @@ TEST(NetServerConcurrencyTest, ConcurrentClientsAndScrapes) {
   monitor.Stop();
 }
 
-// The server's spring_net_* families splice into the monitor's published
-// metrics via SetAuxMetricsProvider — one /metrics endpoint for both.
+// With the monitor's telemetry on, the server's spring_net_* families and,
+// once SetWal is called, the WAL's spring_wal_* families join the monitor's
+// published metrics with no hand-wired provider — one /metrics for all.
 TEST(NetServerMetricsTest, NetFamiliesSpliceIntoMonitorSnapshot) {
+  const std::string dir = testing::TempDir() + "/net_metrics_wal";
+  wal::Env* env = wal::Env::Default();
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  auto leftovers = env->ListDir(dir);
+  ASSERT_TRUE(leftovers.ok());
+  for (const std::string& name : *leftovers) {
+    ASSERT_TRUE(env->RemoveFile(dir + "/" + name).ok());
+  }
+  wal::WalOptions wal_options;
+  wal_options.dir = dir;
+  wal_options.num_shards = 2;
+  auto wal = wal::WalWriter::Open(wal_options);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+
   ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = 2;
-  monitor_options.enable_introspection = true;
+  monitor_options.collect_metrics = true;
   ShardedMonitor monitor(monitor_options);
-  StreamServerOptions server_options;
-  server_options.publish_interval_ms = 0.0;
-  StreamServer server(&monitor, server_options);
-  monitor.SetAuxMetricsProvider(
-      [&server]() { return server.MetricsSnapshot(); });
   monitor.Start();
+  StreamServer server(&monitor, StreamServerOptions{});
+  server.SetCheckpointFn([&monitor]() -> util::StatusOr<uint64_t> {
+    return static_cast<uint64_t>(monitor.SerializeState().size());
+  });
+  server.SetWal(wal->get());
   ASSERT_TRUE(server.Start().ok());
 
   StreamClient client(ClientOptionsFor(server));
@@ -797,19 +811,22 @@ TEST(NetServerMetricsTest, NetFamiliesSpliceIntoMonitorSnapshot) {
   ASSERT_TRUE(client.TickBatch(*stream, ticks).ok());
   ASSERT_TRUE(client.Drain().ok());
 
-  bool found = false;
+  // The plane republishes the families at its throttled publish on the
+  // loop thread; wait for one that saw the ticks.
+  obs::MetricsSnapshot snapshot;
+  const obs::FamilySnapshot* appended = nullptr;
   const int64_t deadline = util::Stopwatch::NowNanos() + 5'000'000'000;
-  while (!found && util::Stopwatch::NowNanos() < deadline) {
-    obs::MetricsSnapshot snapshot = monitor.PublishedMetricsSnapshot();
-    found = snapshot.Find("spring_net_connections") != nullptr &&
-            snapshot.Find("spring_net_frames_total") != nullptr &&
-            snapshot.Find("spring_net_bytes_total") != nullptr;
-    if (!found) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (util::Stopwatch::NowNanos() < deadline) {
+    snapshot = monitor.telemetry()->PublishedMetricsSnapshot();
+    appended = snapshot.Find("spring_wal_appended_records_total");
+    if (appended != nullptr && appended->series[0].counter_value > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(found) << "spring_net_* families missing from merged snapshot";
-
-  obs::MetricsSnapshot direct = server.MetricsSnapshot();
-  const obs::FamilySnapshot* frames = direct.Find("spring_net_frames_total");
+  ASSERT_NE(appended, nullptr) << "spring_wal_* missing from the snapshot";
+  EXPECT_GT(appended->series[0].counter_value, 0);
+  EXPECT_NE(snapshot.Find("spring_net_connections"), nullptr);
+  EXPECT_NE(snapshot.Find("spring_net_bytes_total"), nullptr);
+  const obs::FamilySnapshot* frames = snapshot.Find("spring_net_frames_total");
   ASSERT_NE(frames, nullptr);
   EXPECT_FALSE(frames->series.empty());
 

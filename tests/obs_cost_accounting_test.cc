@@ -104,9 +104,8 @@ TEST(CostAccountingTest, RenderTruncatesToTopKButReportsTotal) {
 TEST(CostAccountingTest, DifferentialRecountAgainstGroundTruth) {
   ShardedMonitorOptions options;
   options.num_workers = 2;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;
-  options.cost_sample_every = 16;
   ShardedMonitor monitor(options);
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -159,7 +158,7 @@ TEST(CostAccountingTest, DifferentialRecountAgainstGroundTruth) {
 
   // /queryz ranks by cells: the longer query must lead, and the document
   // must agree with the recounted columns.
-  const std::string queryz = monitor.QueryzJson();
+  const std::string queryz = monitor.telemetry()->QueryzJson();
   EXPECT_NE(queryz.find("\"total\":2"), std::string::npos) << queryz;
   const size_t cold_pos = queryz.find("\"cold\"");
   const size_t hot_pos = queryz.find("\"hot\"");
@@ -171,7 +170,7 @@ TEST(CostAccountingTest, DifferentialRecountAgainstGroundTruth) {
       << queryz;
 
   // /streamz aggregates the stream's two queries.
-  const std::string streamz = monitor.StreamzJson();
+  const std::string streamz = monitor.telemetry()->StreamzJson();
   EXPECT_NE(streamz.find("\"total\":1"), std::string::npos) << streamz;
   EXPECT_NE(streamz.find("\"name\":\"s0\""), std::string::npos) << streamz;
   EXPECT_NE(streamz.find("\"queries\":2"), std::string::npos) << streamz;
@@ -190,7 +189,7 @@ TEST(CostAccountingTest, DifferentialRecountAgainstGroundTruth) {
 TEST(CostAccountingTest, ShardedRecountAcrossWorkers) {
   ShardedMonitorOptions options;
   options.num_workers = 3;
-  options.enable_introspection = true;
+  options.collect_metrics = true;
   options.publish_interval_ms = 0.0;
   ShardedMonitor monitor(options);
   CollectSink sink;
@@ -229,7 +228,7 @@ TEST(CostAccountingTest, ShardedRecountAcrossWorkers) {
     EXPECT_EQ(entry.matches, 0) << entry.name;
   }
 
-  const std::string streamz = monitor.StreamzJson();
+  const std::string streamz = monitor.telemetry()->StreamzJson();
   EXPECT_NE(streamz.find("\"total\":" + std::to_string(kStreams)),
             std::string::npos)
       << streamz;
@@ -249,9 +248,9 @@ TEST(CostAccountingTest, ShardedRecountAcrossWorkers) {
 }
 
 TEST(CostAccountingTest, CostColumnsStayZeroWithoutMetrics) {
-  // Default options: no collect_metrics, no introspection — the cost
-  // columns must stay at their zero/-1 defaults and the JSON documents at
-  // their empty shapes.
+  // Default options: no collect_metrics — the cost columns must stay at
+  // their zero/-1 defaults, and no telemetry plane exists to serve
+  // /queryz or /streamz.
   ShardedMonitor monitor;
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -276,8 +275,7 @@ TEST(CostAccountingTest, CostColumnsStayZeroWithoutMetrics) {
   // per-tick columns must stay zero.
   EXPECT_GE(listed[0].last_match_seq, 0);
   EXPECT_EQ(listed[0].est_cpu_nanos, 0);
-  EXPECT_NE(monitor.QueryzJson().find("\"queries\":[]"), std::string::npos);
-  EXPECT_NE(monitor.StreamzJson().find("\"streams\":[]"), std::string::npos);
+  EXPECT_EQ(monitor.telemetry(), nullptr);
   monitor.Stop();
 }
 

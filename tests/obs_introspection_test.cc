@@ -1,5 +1,5 @@
-// Tests for the introspection HTTP server: JSON renderers, the published-
-// snapshot cache, and real loopback GETs against a running server. The
+// Tests for the introspection HTTP server: JSON renderers and real
+// loopback GETs against a running server. The
 // HTTP assertions use a raw POSIX socket client so the test exercises the
 // exact byte protocol a scraper (curl, Prometheus) would see.
 #include <arpa/inet.h>
@@ -127,73 +127,49 @@ TEST(IntrospectionRenderTest, TracezJsonReusesTraceEventJson) {
                       TraceEventJson(event) + "]}");
 }
 
-TEST(IntrospectionCacheTest, PublishedSnapshotsRoundTrip) {
-  IntrospectionCache cache;
-
-  MetricsRegistry registry;
-  registry.GetCounter("spring_test_total", "help", {})->Increment(9);
-  cache.PublishMetrics(registry.Snapshot());
-
-  HealthReport health;
-  health.healthy = false;
-  health.state = "stale";
-  cache.PublishHealth(health);
-
-  StatusReport status;
-  status.ticks_ingested = 123;
-  cache.PublishStatus(status);
-
-  TracezReport traces;
-  traces.dropped = 2;
-  cache.PublishTraces(traces);
-
-  EXPECT_NE(cache.Metrics().Find("spring_test_total"), nullptr);
-  EXPECT_FALSE(cache.Health().healthy);
-  EXPECT_EQ(cache.Status().ticks_ingested, 123);
-  EXPECT_EQ(cache.Traces().dropped, 2);
-
-  // Handlers() serves the same data the getters do.
-  IntrospectionHandlers handlers = cache.Handlers();
-  ASSERT_TRUE(handlers.metrics && handlers.health && handlers.status &&
-              handlers.traces);
-  EXPECT_EQ(handlers.health().state, "stale");
-  EXPECT_EQ(handlers.status().ticks_ingested, 123);
-}
-
+// Handlers serving fixed reports; `health` is read at scrape time, so a
+// test may replace it before starting a server.
 class IntrospectionServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MetricsRegistry registry;
-    registry.GetCounter("spring_ticks_total", "ticks", {})->Increment(11);
-    cache_.PublishMetrics(registry.Snapshot());
-
-    HealthReport health;
-    health.healthy = true;
-    health.state = "ok";
+    health_.healthy = true;
+    health_.state = "ok";
     WorkerHealth worker;
     worker.state = "ok";
-    health.workers.push_back(worker);
-    cache_.PublishHealth(health);
-
-    StatusReport status;
-    status.role = "engine";
-    status.started = true;
-    cache_.PublishStatus(status);
-
-    TracezReport traces;
-    TraceEvent event;
-    event.kind = TraceEventKind::kCandidateOpened;
-    traces.events.push_back(event);
-    cache_.PublishTraces(traces);
+    health_.workers.push_back(worker);
   }
 
-  IntrospectionCache cache_;
+  IntrospectionHandlers Handlers() {
+    IntrospectionHandlers handlers;
+    handlers.metrics = [] {
+      MetricsRegistry registry;
+      registry.GetCounter("spring_ticks_total", "ticks", {})->Increment(11);
+      return registry.Snapshot();
+    };
+    handlers.health = [this] { return health_; };
+    handlers.status = [] {
+      StatusReport status;
+      status.role = "engine";
+      status.started = true;
+      return status;
+    };
+    handlers.traces = [] {
+      TracezReport traces;
+      TraceEvent event;
+      event.kind = TraceEventKind::kCandidateOpened;
+      traces.events.push_back(event);
+      return traces;
+    };
+    return handlers;
+  }
+
+  HealthReport health_;
 };
 
 TEST_F(IntrospectionServerTest, ServesEveryEndpointOverLoopback) {
   IntrospectionServerOptions options;
   options.port = 0;  // ephemeral
-  IntrospectionServer server(options, cache_.Handlers());
+  IntrospectionServer server(options, Handlers());
   ASSERT_EQ(server.port(), -1);
   const util::Status started = server.Start();
   ASSERT_TRUE(started.ok()) << started.ToString();
@@ -230,13 +206,11 @@ TEST_F(IntrospectionServerTest, ServesEveryEndpointOverLoopback) {
 }
 
 TEST_F(IntrospectionServerTest, UnhealthyReportReturns503) {
-  HealthReport stale;
-  stale.healthy = false;
-  stale.state = "stale";
-  cache_.PublishHealth(stale);
+  health_.healthy = false;
+  health_.state = "stale";
 
   IntrospectionServerOptions options;
-  IntrospectionServer server(options, cache_.Handlers());
+  IntrospectionServer server(options, Handlers());
   ASSERT_TRUE(server.Start().ok());
   const std::string healthz = HttpGet(server.port(), "/healthz");
   EXPECT_NE(healthz.find("HTTP/1.1 503 Service Unavailable"),
@@ -247,7 +221,7 @@ TEST_F(IntrospectionServerTest, UnhealthyReportReturns503) {
 
 TEST_F(IntrospectionServerTest, UnknownPathIs404AndPostIs405) {
   IntrospectionServerOptions options;
-  IntrospectionServer server(options, cache_.Handlers());
+  IntrospectionServer server(options, Handlers());
   ASSERT_TRUE(server.Start().ok());
 
   const std::string missing = HttpGet(server.port(), "/nope");
@@ -263,14 +237,14 @@ TEST_F(IntrospectionServerTest, UnknownPathIs404AndPostIs405) {
 
 TEST_F(IntrospectionServerTest, QueryStringsAreStripped) {
   IntrospectionServerOptions options;
-  IntrospectionServer server(options, cache_.Handlers());
+  IntrospectionServer server(options, Handlers());
   ASSERT_TRUE(server.Start().ok());
   const std::string reply = HttpGet(server.port(), "/healthz?verbose=1");
   EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
 }
 
 TEST_F(IntrospectionServerTest, NullHandlerTurnsEndpointInto404) {
-  IntrospectionHandlers handlers = cache_.Handlers();
+  IntrospectionHandlers handlers = Handlers();
   handlers.traces = nullptr;
   IntrospectionServerOptions options;
   IntrospectionServer server(options, std::move(handlers));
@@ -281,7 +255,7 @@ TEST_F(IntrospectionServerTest, NullHandlerTurnsEndpointInto404) {
 
 TEST_F(IntrospectionServerTest, StopIsIdempotentAndBlocksRestart) {
   IntrospectionServerOptions options;
-  IntrospectionServer server(options, cache_.Handlers());
+  IntrospectionServer server(options, Handlers());
   ASSERT_TRUE(server.Start().ok());
   server.Stop();
   server.Stop();  // second Stop is a no-op
@@ -290,14 +264,13 @@ TEST_F(IntrospectionServerTest, StopIsIdempotentAndBlocksRestart) {
 }
 
 TEST(IntrospectionServerStandaloneTest, PortCollisionFailsCleanly) {
-  IntrospectionCache cache;
   IntrospectionServerOptions options;
-  IntrospectionServer first(options, cache.Handlers());
+  IntrospectionServer first(options, IntrospectionHandlers{});
   ASSERT_TRUE(first.Start().ok());
 
   IntrospectionServerOptions clash;
   clash.port = first.port();
-  IntrospectionServer second(clash, cache.Handlers());
+  IntrospectionServer second(clash, IntrospectionHandlers{});
   const util::Status status = second.Start();
   EXPECT_FALSE(status.ok());
   EXPECT_FALSE(second.running());

@@ -50,6 +50,21 @@ TEST(FlagParserTest, DefaultsWhenAbsentOrMalformed) {
   EXPECT_EQ(flags.GetString("missing", "dflt"), "dflt");
 }
 
+TEST(FlagParserTest, ErrorsNameUnreadAndMalformedFlags) {
+  FlagParser flags = MakeParser(
+      {"--workers=abc", "--port=7", "--span_sample_every=8", "--on=maybe"});
+  EXPECT_EQ(flags.GetInt64("workers", 2), 2);  // the fallback stays
+  EXPECT_EQ(flags.GetInt64("port", 0), 7);
+  EXPECT_FALSE(flags.GetBool("on", false));
+  EXPECT_EQ(flags.GetDouble("absent", 1.5), 1.5);
+  EXPECT_EQ(flags.Errors(),
+            (std::vector<std::string>{"malformed --on=maybe",
+                                      "unknown flag --span_sample_every",
+                                      "malformed --workers=abc"}));
+  EXPECT_EQ(flags.GetInt64("span_sample_every", 64), 8);
+  EXPECT_EQ(flags.Errors().size(), 2u) << "a read flag is no longer unknown";
+}
+
 TEST(FlagParserTest, PositionalArguments) {
   FlagParser flags = MakeParser({"input.csv", "--n=5", "output.csv"});
   EXPECT_EQ(flags.positional(),

@@ -27,12 +27,14 @@
 // runs only). --report_every=N prints a one-line metrics summary to stderr
 // every N ticks.
 //
-// Live introspection (threshold mode only): --introspect_port=N serves
-// /metrics, /metrics.json, /healthz, /statusz, and /tracez over HTTP on
-// 127.0.0.1 while the run ingests (N=0 picks an ephemeral port); the bound
-// port is printed as "INTROSPECT_PORT=<port>" before ingest starts.
-// --introspect_linger_ms keeps the process (and server) alive after the
-// run so late scrapers still get the final state;
+// Live introspection (threshold mode only): --introspect_port=N serves the
+// ShardedMonitor's telemetry — /metrics, /metrics.json, /healthz,
+// /statusz, /tracez, /spanz, /queryz, /streamz — over HTTP on 127.0.0.1
+// while the run ingests (N=0 picks an ephemeral port); the bound port is
+// printed as "INTROSPECT_PORT=<port>" before ingest starts. It runs the
+// sharded path (one worker unless --threads=N), so --threads' flag rules
+// apply. --introspect_linger_ms keeps the process (and server) alive after
+// the run so late scrapers still get the final state;
 // --introspect_staleness_ms and --introspect_publish_ms tune the watchdog
 // budget and snapshot publish cadence (docs/OBSERVABILITY.md).
 
@@ -41,7 +43,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -51,13 +52,11 @@
 #include "monitor/sharded_monitor.h"
 #include "monitor/sink.h"
 #include "obs/exposition.h"
-#include "obs/introspection_server.h"
 #include "obs/observability.h"
 #include "ts/binary_io.h"
 #include "ts/csv.h"
 #include "ts/repair.h"
 #include "util/flags.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace {
@@ -117,8 +116,7 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
                 const core::SpringOptions& options, int64_t batch_chunk,
                 const std::string& metrics_format,
                 const std::string& metrics_out, const std::string& trace_out,
-                int64_t trace_capacity, int64_t report_every,
-                const IntrospectOptions& introspect) {
+                int64_t trace_capacity, int64_t report_every) {
   obs::ObservabilityOptions obs_options;
   obs_options.trace_capacity = trace_capacity;
   obs_options.report_every_ticks = report_every;
@@ -126,8 +124,8 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
   obs::Observability observability(obs_options);
 
   monitor::MonitorEngine engine;
-  const bool want_obs = !metrics_format.empty() || !trace_out.empty() ||
-                        report_every > 0 || introspect.port >= 0;
+  const bool want_obs =
+      !metrics_format.empty() || !trace_out.empty() || report_every > 0;
   if (want_obs) engine.AttachObservability(&observability);
   // The stream is already repaired here; keep engine-side repair off.
   const int64_t stream_id = engine.AddStream("stream", false);
@@ -145,58 +143,6 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
       });
   engine.AddSink(&printer);
 
-  // Single-threaded introspection: the ingest loop publishes snapshots
-  // into a cache (throttled), the server thread serves the latest copy.
-  obs::IntrospectionCache cache;
-  std::unique_ptr<obs::IntrospectionServer> server;
-  const uint64_t start_nanos =
-      static_cast<uint64_t>(util::Stopwatch::NowNanos());
-  const uint64_t publish_interval_nanos =
-      static_cast<uint64_t>(std::max(introspect.publish_ms, 0.0) * 1e6);
-  uint64_t last_publish_nanos = 0;
-  const auto publish = [&](bool running, int64_t ticks, uint64_t now) {
-    engine.RefreshObservabilityGauges();
-    cache.PublishMetrics(observability.registry().Snapshot());
-    obs::HealthReport health;
-    health.state = running ? "ok" : "stopped";
-    health.staleness_budget_ms = introspect.staleness_ms;
-    obs::WorkerHealth worker;
-    worker.state = health.state;
-    worker.ms_since_progress = 0.0;
-    health.workers.push_back(worker);
-    cache.PublishHealth(std::move(health));
-    obs::StatusReport status;
-    status.role = "engine";
-    status.started = running;
-    status.uptime_seconds = static_cast<double>(now - start_nanos) / 1e9;
-    status.num_workers = 1;
-    status.num_streams = engine.num_streams();
-    status.num_queries = engine.num_queries();
-    status.ticks_ingested = ticks;
-    status.matches_delivered = count;
-    cache.PublishStatus(std::move(status));
-    obs::TracezReport traces;
-    traces.events = observability.trace().Events();
-    traces.dropped = observability.trace().dropped();
-    cache.PublishTraces(std::move(traces));
-    last_publish_nanos = now;
-  };
-  if (introspect.port >= 0) {
-    obs::IntrospectionServerOptions server_options;
-    server_options.port = static_cast<int>(introspect.port);
-    server = std::make_unique<obs::IntrospectionServer>(server_options,
-                                                        cache.Handlers());
-    const util::Status started = server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "introspection server: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    publish(true, 0, start_nanos);
-    std::printf("INTROSPECT_PORT=%d\n", server->port());
-    std::fflush(stdout);
-  }
-
   const std::vector<double>& values = stream.values();
   const int64_t chunk = std::max<int64_t>(1, batch_chunk);
   for (int64_t at = 0; at < stream.size(); at += chunk) {
@@ -212,21 +158,9 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
       std::fprintf(stderr, "%s\n", pushed.status().ToString().c_str());
       return 1;
     }
-    if (server != nullptr) {
-      const uint64_t now =
-          static_cast<uint64_t>(util::Stopwatch::NowNanos());
-      if (now - last_publish_nanos >= publish_interval_nanos) {
-        publish(true, at + n, now);
-      }
-    }
   }
   engine.FlushAll();
   std::printf("# %lld matches\n", static_cast<long long>(count));
-  if (server != nullptr) {
-    publish(false, stream.size(),
-            static_cast<uint64_t>(util::Stopwatch::NowNanos()));
-    LingerForScrapers(introspect);
-  }
 
   if (want_obs) engine.RefreshObservabilityGauges();
   if (!metrics_format.empty()) {
@@ -328,7 +262,7 @@ int main(int argc, char** argv) {
                  "usage: %s --stream=FILE --query=FILE --epsilon=E "
                  "[--topk=K] [--distance=squared|absolute] "
                  "[--max_length=N] [--min_length=N] [--paths] "
-                 "[--batch=CHUNK] [--threads=N]\n",
+                 "[--batch=CHUNK] [--threads=N] [--introspect_port=N]\n",
                  flags.program_name().c_str());
     return 2;
   }
@@ -361,7 +295,7 @@ int main(int argc, char** argv) {
           ? dtw::LocalDistance::kAbsolute
           : dtw::LocalDistance::kSquared;
   const int64_t topk = flags.GetInt64("topk", 0);
-  const int64_t threads = flags.GetInt64("threads", 0);
+  int64_t threads = flags.GetInt64("threads", 0);
   const int64_t batch = flags.GetInt64("batch", 0);
   IntrospectOptions introspect;
   introspect.port = flags.GetInt64("introspect_port", -1);
@@ -395,6 +329,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Live introspection is the sharded monitor's telemetry plane.
+  if (introspect.port >= 0 && threads <= 0) threads = 1;
   const std::string metrics_format = flags.GetString("metrics", "");
   const std::string trace_out = flags.GetString("trace_out", "");
   if (!metrics_format.empty() && metrics_format != "prom" &&
@@ -408,14 +344,14 @@ int main(int argc, char** argv) {
   }
   if (threads > 0 && !trace_out.empty()) {
     std::fprintf(stderr, "--trace_out needs a single engine; it does not "
-                         "combine with --threads\n");
+                         "combine with --threads or --introspect_port\n");
     return 2;
   }
   if (!metrics_format.empty() || !trace_out.empty() || threads > 0 ||
-      batch > 0 || introspect.port >= 0) {
+      batch > 0) {
     if (flags.GetBool("paths", false)) {
-      std::fprintf(stderr, "--metrics/--trace_out/--introspect_port do not "
-                           "combine with --paths\n");
+      std::fprintf(stderr, "--metrics/--trace_out do not combine with "
+                           "--paths\n");
       return 2;
     }
     core::SpringOptions options;
@@ -431,7 +367,7 @@ int main(int argc, char** argv) {
     return RunObserved(repaired, *query, options, batch, metrics_format,
                        flags.GetString("metrics_out", ""), trace_out,
                        flags.GetInt64("trace_capacity", 4096),
-                       flags.GetInt64("report_every", 0), introspect);
+                       flags.GetInt64("report_every", 0));
   }
 
   if (flags.GetBool("paths", false)) {

@@ -5,7 +5,6 @@
 //       [--wal_dir=DIR] [--fsync=os|interval|every_record]
 //       [--fsync_interval_ms=50] [--wal_segment_bytes=4194304]
 //       [--introspect_port=-1] [--staleness_ms=1000]
-//       [--span_sample_every=64] [--cost_sample_every=64]
 //       [--max_connections=64] [--max_frame_bytes=1048576]
 //       [--idle_timeout_ms=0]
 //       [--alert_rules=FILE] [--slo_p99_ms=0] [--timeline]
@@ -14,7 +13,8 @@
 // streams, register/remove queries, push ticks, subscribe to match
 // fan-out, and request drains/checkpoints. The bound port is printed as
 // "SERVE_PORT=<port>" once the server is up (port 0 picks an ephemeral
-// port), so scripts can discover it.
+// port), so scripts can discover it. An unknown flag or a malformed value
+// exits 2 with the flag named, before anything starts.
 //
 // --checkpoint=FILE makes the daemon durable: if FILE exists at startup
 // the monitor restores from it (resuming mid-stream, pending candidates
@@ -35,20 +35,20 @@
 // the replayed-record count. --fsync picks the durability/throughput
 // trade-off per docs/DURABILITY.md.
 //
-// --introspect_port=N additionally serves /metrics, /healthz, /statusz,
-// /tracez, /spanz, /queryz, /streamz over HTTP (N=0 ephemeral; printed as
-// "INTROSPECT_PORT=<port>"); the serving layer's spring_net_* families are
-// spliced into /metrics. --span_sample_every=N samples 1-in-N ticks for
-// end-to-end spans and --cost_sample_every=N samples per-query CPU cost
-// (0 disables either; both are no-ops without --introspect_port).
+// --introspect_port=N serves the monitor's telemetry over HTTP: /metrics,
+// /healthz, /statusz, /tracez, /spanz, /queryz, /streamz, /timez, /alertz
+// (N=0 ephemeral; printed as "INTROSPECT_PORT=<port>"). /metrics carries
+// the serving layer's spring_net_* and the WAL's spring_wal_* families too.
+// Telemetry samples 1-in-64 ticks for end-to-end spans and 1-in-64 runs for
+// per-query CPU cost.
 //
-// --timeline additionally records every published snapshot into the
-// fixed-memory metrics timeline served as /timez. --alert_rules=FILE loads
-// alert rules (syntax: docs/OBSERVABILITY.md) evaluated on the publish
-// cadence and served as /alertz; a firing page-severity rule flips
-// /healthz to 503. --slo_p99_ms=N adds the conventional two-window
-// burn-rate page rule over the p99 end-to-end latency budget of N ms.
-// Rules imply the timeline; either implies introspection.
+// --timeline records every published snapshot into the fixed-memory
+// metrics timeline served as /timez. --alert_rules=FILE loads alert rules
+// (syntax: docs/OBSERVABILITY.md) evaluated on the publish cadence and
+// served as /alertz; a firing page-severity rule flips /healthz to 503.
+// --slo_p99_ms=N adds the conventional two-window burn-rate page rule over
+// the p99 end-to-end latency budget of N ms. Each of these turns telemetry
+// on; none needs --introspect_port.
 
 #include <csignal>
 #include <cstdio>
@@ -86,6 +86,8 @@ util::StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 }
 
 int Run(int argc, char** argv) {
+  // Every accepted flag is read here, before anything starts, so a typo or
+  // a retired flag fails loudly instead of being ignored.
   util::FlagParser flags(argc, argv);
   const int64_t port = flags.GetInt64("port", 0);
   const int64_t workers = flags.GetInt64("workers", 2);
@@ -94,20 +96,38 @@ int Run(int argc, char** argv) {
   if (checkpoint_path.empty() && !wal_dir.empty()) {
     checkpoint_path = wal_dir + "/checkpoint.ckpt";
   }
-  const double checkpoint_period_ms =
-      flags.GetDouble("checkpoint_period_ms", 0.0);
-  const int64_t introspect_port = flags.GetInt64("introspect_port", -1);
+  const std::string fsync = flags.GetString("fsync", "os");
+  const std::string alert_rules_path = flags.GetString("alert_rules", "");
 
   monitor::ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = workers > 0 ? workers : 1;
-  monitor_options.introspect_port = introspect_port;
+  monitor_options.introspect_port = flags.GetInt64("introspect_port", -1);
   monitor_options.staleness_budget_ms =
       flags.GetDouble("staleness_ms", 1000.0);
-  monitor_options.span_sample_every = flags.GetInt64("span_sample_every", 64);
-  monitor_options.cost_sample_every = flags.GetInt64("cost_sample_every", 64);
   monitor_options.enable_timeline = flags.GetBool("timeline", false);
   monitor_options.slo_p99_ms = flags.GetDouble("slo_p99_ms", 0.0);
-  const std::string alert_rules_path = flags.GetString("alert_rules", "");
+
+  wal::WalOptions wal_options;
+  wal_options.dir = wal_dir;
+  wal_options.num_shards = monitor_options.num_workers;
+  wal_options.fsync_interval_ms = flags.GetInt64("fsync_interval_ms", 50);
+  wal_options.segment_bytes = flags.GetInt64("wal_segment_bytes", 4 << 20);
+
+  net::StreamServerOptions server_options;
+  server_options.port = static_cast<int>(port);
+  server_options.max_connections = flags.GetInt64("max_connections", 64);
+  server_options.max_frame_bytes = static_cast<uint64_t>(flags.GetInt64(
+      "max_frame_bytes", static_cast<int64_t>(net::kDefaultMaxFrameBytes)));
+  server_options.idle_timeout_ms = flags.GetDouble("idle_timeout_ms", 0.0);
+  server_options.checkpoint_period_ms =
+      flags.GetDouble("checkpoint_period_ms", 0.0);
+
+  const std::vector<std::string> flag_errors = flags.Errors();
+  for (const std::string& error : flag_errors) {
+    std::fprintf(stderr, "springdtw_serve: %s\n", error.c_str());
+  }
+  if (!flag_errors.empty()) return 2;
+
   if (!alert_rules_path.empty()) {
     std::ifstream rules_in(alert_rules_path);
     if (!rules_in) {
@@ -179,13 +199,7 @@ int Run(int argc, char** argv) {
     }
     recovered = std::move(*scanned);
 
-    wal::WalOptions wal_options;
-    wal_options.dir = wal_dir;
-    wal_options.num_shards = monitor_options.num_workers;
-    wal_options.fsync_interval_ms = flags.GetInt64("fsync_interval_ms", 50);
-    wal_options.segment_bytes =
-        flags.GetInt64("wal_segment_bytes", 4 << 20);
-    auto policy = wal::ParseFsyncPolicy(flags.GetString("fsync", "os"));
+    auto policy = wal::ParseFsyncPolicy(fsync);
     if (!policy.ok()) {
       std::fprintf(stderr, "--fsync: %s\n",
                    policy.status().ToString().c_str());
@@ -263,13 +277,6 @@ int Run(int argc, char** argv) {
         recovered.torn_tail ? 1 : 0, recovered_matches.size());
   }
 
-  net::StreamServerOptions server_options;
-  server_options.port = static_cast<int>(port);
-  server_options.max_connections = flags.GetInt64("max_connections", 64);
-  server_options.max_frame_bytes = static_cast<uint64_t>(flags.GetInt64(
-      "max_frame_bytes", static_cast<int64_t>(net::kDefaultMaxFrameBytes)));
-  server_options.idle_timeout_ms = flags.GetDouble("idle_timeout_ms", 0.0);
-  server_options.checkpoint_period_ms = checkpoint_period_ms;
   net::StreamServer server(&monitor, server_options);
 
   if (!checkpoint_path.empty()) {
@@ -287,17 +294,6 @@ int Run(int argc, char** argv) {
     server.SetRecoveredMatches(std::move(recovered_matches));
   }
 
-  monitor.SetAuxMetricsProvider([&server, &wal] {
-    obs::MetricsSnapshot snapshot = server.MetricsSnapshot();
-    if (wal != nullptr) {
-      obs::MetricsSnapshot wal_snapshot = wal->MetricsSnapshot();
-      snapshot.families.insert(
-          snapshot.families.end(),
-          std::make_move_iterator(wal_snapshot.families.begin()),
-          std::make_move_iterator(wal_snapshot.families.end()));
-    }
-    return snapshot;
-  });
   const util::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "server start: %s\n", started.ToString().c_str());
