@@ -76,12 +76,6 @@ void MetricsEmitter::SetGauge(const std::string& name,
       ->Set(value);
 }
 
-void MetricsEmitter::Observe(const std::string& name, const std::string& help,
-                             double value, obs::Labels extra) {
-  registry_.GetHistogram(name, help, WithBenchLabel(std::move(extra)))
-      ->Observe(value);
-}
-
 obs::MetricsSnapshot MetricsEmitter::MergedSnapshot(
     const obs::MetricsSnapshot* engine_snapshot) const {
   obs::MetricsSnapshot merged = registry_.Snapshot();

@@ -54,10 +54,6 @@ class MetricsEmitter {
   void SetGauge(const std::string& name, const std::string& help,
                 double value, obs::Labels extra = {});
 
-  /// Adds `value` to histogram `name{bench=<bench_name>, extra...}`.
-  void Observe(const std::string& name, const std::string& help, double value,
-               obs::Labels extra = {});
-
   /// Prints the BENCH_METRICS_JSON line to stdout. When `engine_snapshot`
   /// is non-null its families are appended after this emitter's own.
   void Emit(const obs::MetricsSnapshot* engine_snapshot = nullptr) const;

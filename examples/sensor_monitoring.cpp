@@ -12,6 +12,7 @@
 #include "monitor/engine.h"
 #include "monitor/sink.h"
 #include "monitor/stream_source.h"
+#include "obs/observability.h"
 #include "ts/repair.h"
 #include "util/flags.h"
 
@@ -43,8 +44,12 @@ int main(int argc, char** argv) {
       core::CalibrateEpsilon(repaired, data.query, regions, 1.2);
   std::printf("calibrated epsilon: %.1f\n\n", epsilon);
 
+  // --latency attaches an observability bundle, whose
+  // spring_push_latency_nanos histogram times every Push.
+  const bool latency = flags.GetBool("latency", false);
+  obs::Observability observability;
   monitor::MonitorEngine engine;
-  engine.EnableLatencyTracking(flags.GetBool("latency", false));
+  if (latency) engine.AttachObservability(&observability);
   monitor::CollectSink collected;
   engine.AddSink(&collected);
 
@@ -98,9 +103,14 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.matches), stats.output_delay.mean());
   std::printf("engine working set: %s\n",
               engine.Footprint().ToString().c_str());
-  if (flags.GetBool("latency", false)) {
-    std::printf("push latency (ns): %s\n",
-                engine.push_latency_nanos().Summary().c_str());
+  if (latency) {
+    const obs::MetricsSnapshot snapshot = observability.registry().Snapshot();
+    const obs::HistogramSnapshot& h =
+        snapshot.Find("spring_push_latency_nanos")->series[0].histogram;
+    std::printf("push latency (ns): count=%lld p50=%.0f p90=%.0f p99=%.0f "
+                "max=%.0f\n",
+                static_cast<long long>(h.count()), h.Quantile(0.5),
+                h.Quantile(0.9), h.Quantile(0.99), h.max());
   }
   return 0;
 }

@@ -250,8 +250,8 @@ int64_t MonitorEngine::Ingest(Stream& stream,
       options_.cost_sample_every > 0 &&
       (stream.cost_push_calls++ %
        static_cast<uint64_t>(options_.cost_sample_every)) == 0;
-  const bool timed = track_latency_ || cost_sampled ||
-                     (obs_ != nullptr && options_.cost_sample_every <= 0);
+  const bool timed =
+      cost_sampled || (obs_ != nullptr && options_.cost_sample_every <= 0);
   int64_t start_nanos = 0;
   if (timed) start_nanos = util::Stopwatch::NowNanos();
 
@@ -281,7 +281,6 @@ int64_t MonitorEngine::Ingest(Stream& stream,
     // One sample for the whole run; per-value latency is not observable
     // inside a run.
     const int64_t elapsed = util::Stopwatch::NowNanos() - start_nanos;
-    if (track_latency_) push_latency_nanos_.Add(static_cast<double>(elapsed));
     if (obs_ != nullptr) {
       obs_push_latency_->Observe(static_cast<double>(elapsed));
     }
@@ -627,10 +626,11 @@ util::MemoryFootprint MonitorEngine::Footprint() const {
 namespace {
 
 constexpr uint32_t kEngineMagic = 0x53505245;  // "SPRE"
-// Version 2 appends the latency-tracking flag and the push-latency
-// histogram, so latency history survives checkpoint/restore. Version 1
-// checkpoints still restore (with an empty histogram).
-constexpr uint32_t kEngineVersion = 2;
+// Version 3 drops the push-latency tail that version 2 appended (a
+// tracking flag and a 40-bucket histogram); an attached bundle's
+// spring_push_latency_nanos records the same runs. Version 2 checkpoints
+// restore with the tail validated and dropped; version 1 ones have none.
+constexpr uint32_t kEngineVersion = 3;
 
 void WriteStats(util::ByteWriter* writer, const QueryStats& stats) {
   writer->WriteI64(stats.ticks);
@@ -642,6 +642,28 @@ bool ReadStats(util::ByteReader* reader, QueryStats* stats) {
   return reader->ReadI64(&stats->ticks) &&
          reader->ReadI64(&stats->matches) &&
          stats->output_delay.DeserializeFrom(reader);
+}
+
+/// Reads and drops a version-2 push-latency tail: the tracking flag, then
+/// the histogram's count, max and 40 non-negative buckets summing to the
+/// count. False when it is truncated or inconsistent.
+bool SkipV2LatencyTail(util::ByteReader* reader) {
+  constexpr size_t kV2LatencyBuckets = 40;
+  bool tracking = false;
+  int64_t count = 0;
+  double max_seen = 0.0;
+  std::vector<int64_t> buckets;
+  if (!reader->ReadBool(&tracking) || !reader->ReadI64(&count) ||
+      !reader->ReadDouble(&max_seen) || !reader->ReadInt64Vector(&buckets) ||
+      count < 0 || buckets.size() != kV2LatencyBuckets) {
+    return false;
+  }
+  int64_t total = 0;
+  for (const int64_t b : buckets) {
+    if (b < 0 || b > count - total) return false;
+    total += b;
+  }
+  return total == count;
 }
 
 }  // namespace
@@ -682,9 +704,6 @@ std::vector<uint8_t> MonitorEngine::SerializeState() const {
     writer.WriteI64(stream.pool.dims());
   }
   write_queries(vector_streams_, vector_queries_, vector_queries_.size());
-
-  writer.WriteBool(track_latency_);
-  push_latency_nanos_.SerializeTo(&writer);
 
   if (obs_ != nullptr) {
     obs_checkpoint_saves_->Increment();
@@ -795,11 +814,8 @@ util::Status MonitorEngine::RestoreState(std::span<const uint8_t> bytes) {
   SPRINGDTW_RETURN_IF_ERROR(
       read_queries(vector_streams_, vector_queries_, obs::TraceSpace::kVector));
 
-  if (version >= 2) {
-    if (!reader.ReadBool(&track_latency_) ||
-        !push_latency_nanos_.DeserializeFrom(&reader)) {
-      return util::InvalidArgumentError("checkpoint latency state corrupt");
-    }
+  if (version == 2 && !SkipV2LatencyTail(&reader)) {
+    return util::InvalidArgumentError("checkpoint latency state corrupt");
   }
 
   if (!reader.ok()) {

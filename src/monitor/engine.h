@@ -172,13 +172,6 @@ class MonitorEngine {
   /// Requires a valid query id.
   int64_t QueryEstCpuNanos(int64_t query_id) const;
 
-  /// Running per-Push latency distribution, in nanoseconds. Latency
-  /// tracking is off by default (it adds two clock reads per Push).
-  void EnableLatencyTracking(bool enabled) { track_latency_ = enabled; }
-  const util::LogHistogram& push_latency_nanos() const {
-    return push_latency_nanos_;
-  }
-
   /// Attaches an observability bundle: per-query counters and report-delay
   /// histograms flow into its metrics registry, match-lifecycle events into
   /// its trace ring, and its periodic reporter (if configured) renders a
@@ -356,8 +349,6 @@ class MonitorEngine {
   /// allocates.
   std::vector<core::SpringPoolReport> batch_reports_;
   std::vector<double> batch_values_;
-  bool track_latency_ = false;
-  util::LogHistogram push_latency_nanos_;
 
   obs::Observability* obs_ = nullptr;
   obs::Histogram* obs_push_latency_ = nullptr;

@@ -184,21 +184,21 @@ bool SnapshotValue(const MetricsSnapshot& snapshot, const std::string& metric,
       case MetricKind::kHistogram: {
         const HistogramSnapshot& h = series.histogram;
         if (field == "count" || field.empty()) {
-          v = static_cast<double>(h.count);
+          v = static_cast<double>(h.count());
         } else if (field == "sum") {
-          v = h.sum;
+          v = h.sum();
         } else if (field == "mean") {
-          v = h.mean;
+          v = h.mean();
         } else if (field == "min") {
-          v = h.min;
+          v = h.min();
         } else if (field == "max") {
-          v = h.max;
+          v = h.max();
         } else if (field == "p50") {
-          v = h.p50;
+          v = h.Quantile(0.5);
         } else if (field == "p90") {
-          v = h.p90;
+          v = h.Quantile(0.9);
         } else if (field == "p99") {
-          v = h.p99;
+          v = h.Quantile(0.99);
         } else {
           return false;
         }

@@ -137,20 +137,20 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
           out += family.name +
                  PrometheusLabels(
                      WithLabel(series.labels, "quantile", "0.5")) +
-                 " " + FormatDouble(h.p50) + "\n";
+                 " " + FormatDouble(h.Quantile(0.5)) + "\n";
           out += family.name +
                  PrometheusLabels(
                      WithLabel(series.labels, "quantile", "0.9")) +
-                 " " + FormatDouble(h.p90) + "\n";
+                 " " + FormatDouble(h.Quantile(0.9)) + "\n";
           out += family.name +
                  PrometheusLabels(
                      WithLabel(series.labels, "quantile", "0.99")) +
-                 " " + FormatDouble(h.p99) + "\n";
+                 " " + FormatDouble(h.Quantile(0.99)) + "\n";
           out += family.name + "_sum" + PrometheusLabels(series.labels) +
-                 " " + FormatDouble(h.sum) + "\n";
+                 " " + FormatDouble(h.sum()) + "\n";
           out += family.name + "_count" + PrometheusLabels(series.labels) +
                  " " + util::StrFormat("%lld",
-                                       static_cast<long long>(h.count)) +
+                                       static_cast<long long>(h.count())) +
                  "\n";
           break;
         }
@@ -186,15 +186,14 @@ std::string RenderJson(const MetricsSnapshot& snapshot) {
         case MetricKind::kHistogram: {
           const HistogramSnapshot& h = series.histogram;
           out += "\"count\":" +
-                 util::StrFormat("%lld", static_cast<long long>(h.count)) +
-                 ",\"sum\":" + JsonNumber(h.sum) +
-                 ",\"min\":" + JsonNumber(h.min) +
-                 ",\"max\":" + JsonNumber(h.max) +
-                 ",\"mean\":" + JsonNumber(h.mean) +
-                 ",\"p50\":" + JsonNumber(h.p50) +
-                 ",\"p90\":" + JsonNumber(h.p90) +
-                 ",\"p99\":" + JsonNumber(h.p99) +
-                 ",\"exact\":" + (h.exact ? "true" : "false");
+                 util::StrFormat("%lld", static_cast<long long>(h.count())) +
+                 ",\"sum\":" + JsonNumber(h.sum()) +
+                 ",\"min\":" + JsonNumber(h.min()) +
+                 ",\"max\":" + JsonNumber(h.max()) +
+                 ",\"mean\":" + JsonNumber(h.mean()) +
+                 ",\"p50\":" + JsonNumber(h.Quantile(0.5)) +
+                 ",\"p90\":" + JsonNumber(h.Quantile(0.9)) +
+                 ",\"p99\":" + JsonNumber(h.Quantile(0.99));
           break;
         }
       }
@@ -226,14 +225,12 @@ std::string RenderSummaryLine(const MetricsSnapshot& snapshot) {
         break;
       }
       case MetricKind::kHistogram: {
-        // Aggregate quantiles across series would need the raw data; report
-        // the first series (typically the only one for engine latency).
-        if (family.series.empty()) break;
-        const HistogramSnapshot& h = family.series[0].histogram;
-        out += " " + family.name + "{p50=" + FormatDouble(h.p50) +
-               ",p99=" + FormatDouble(h.p99) +
+        util::LogHistogram all;
+        for (const SeriesSnapshot& s : family.series) all.Merge(s.histogram);
+        out += " " + family.name + "{p50=" + FormatDouble(all.Quantile(0.5)) +
+               ",p99=" + FormatDouble(all.Quantile(0.99)) +
                ",n=" + util::StrFormat("%lld",
-                                       static_cast<long long>(h.count)) +
+                                       static_cast<long long>(all.count())) +
                "}";
         break;
       }

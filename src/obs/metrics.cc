@@ -24,32 +24,6 @@ const FamilySnapshot* MetricsSnapshot::Find(std::string_view name) const {
   return nullptr;
 }
 
-namespace {
-
-void MergeHistogram(const HistogramSnapshot& in, HistogramSnapshot* out) {
-  if (in.count == 0) return;
-  if (out->count == 0) {
-    *out = in;
-    return;
-  }
-  const double w_out = static_cast<double>(out->count);
-  const double w_in = static_cast<double>(in.count);
-  const double total = w_out + w_in;
-  out->min = in.min < out->min ? in.min : out->min;
-  out->max = in.max > out->max ? in.max : out->max;
-  out->sum += in.sum;
-  out->count += in.count;
-  out->mean = out->sum / total;
-  // Count-weighted quantile blend: not exact, but monotone and bounded by
-  // the shard extremes, which is the most a summary merge can promise.
-  out->p50 = (out->p50 * w_out + in.p50 * w_in) / total;
-  out->p90 = (out->p90 * w_out + in.p90 * w_in) / total;
-  out->p99 = (out->p99 * w_out + in.p99 * w_in) / total;
-  out->exact = false;
-}
-
-}  // namespace
-
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards) {
   MetricsSnapshot merged;
   for (const MetricsSnapshot& shard : shards) {
@@ -84,8 +58,6 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards) {
         if (slot == nullptr) {
           SeriesSnapshot fresh;
           fresh.labels = series.labels;
-          // Histogram fields merge via MergeHistogram below so `exact`
-          // stays meaningful; scalar fields start at zero and accumulate.
           target->series.push_back(std::move(fresh));
           slot = &target->series.back();
         }
@@ -97,7 +69,7 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards) {
             slot->gauge_value += series.gauge_value;
             break;
           case MetricKind::kHistogram:
-            MergeHistogram(series.histogram, &slot->histogram);
+            slot->histogram.Merge(series.histogram);
             break;
         }
       }
@@ -185,19 +157,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         case MetricKind::kGauge:
           ss.gauge_value = series.gauge->value();
           break;
-        case MetricKind::kHistogram: {
-          const Histogram& h = *series.histogram;
-          ss.histogram.count = h.count();
-          ss.histogram.sum = h.sum();
-          ss.histogram.min = h.stats().min();
-          ss.histogram.max = h.stats().max();
-          ss.histogram.mean = h.stats().mean();
-          ss.histogram.p50 = h.Quantile(0.5);
-          ss.histogram.p90 = h.Quantile(0.9);
-          ss.histogram.p99 = h.Quantile(0.99);
-          ss.histogram.exact = h.exact();
+        case MetricKind::kHistogram:
+          ss.histogram = series.histogram->value();
           break;
-        }
       }
       fs.series.push_back(std::move(ss));
     }

@@ -50,62 +50,21 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Distribution metric. Backed by the existing util accumulators:
-/// util::LogHistogram for O(1) bucketed quantiles, util::RunningStats for
-/// exact moments, and util::QuantileSketch for exact quantiles. The sketch
-/// stores one double per observation up to kMaxExactSamples; past that it
-/// stops growing and quantiles degrade to the log-bucket approximation
-/// (Snapshot marks this via `exact`).
+/// Distribution metric: one util::LogHistogram (exact count, sum, min and
+/// max; quantiles within 1/32 from fixed log-linear buckets). The first
+/// Observe allocates the bucket table; later ones never allocate.
 class Histogram {
  public:
-  static constexpr int64_t kMaxExactSamples = 1 << 20;
-
-  void Observe(double v) {
-    log_.Add(v);
-    stats_.Add(v);
-    if (sketch_.count() < kMaxExactSamples) sketch_.Add(v);
-  }
-
-  int64_t count() const { return stats_.count(); }
-  double sum() const { return stats_.sum(); }
-
-  /// True while every observation is still held by the exact sketch.
-  bool exact() const { return stats_.count() == sketch_.count(); }
-
-  /// Exact quantile while exact(), log-bucket upper edge afterwards.
-  double Quantile(double q) const {
-    return exact() ? sketch_.Quantile(q) : log_.Quantile(q);
-  }
-
-  const util::RunningStats& stats() const { return stats_; }
-  const util::LogHistogram& log() const { return log_; }
-  const util::QuantileSketch& sketch() const { return sketch_; }
-
-  void Reset() {
-    log_ = util::LogHistogram();
-    stats_.Reset();
-    sketch_.Reset();
-  }
+  void Observe(double v) { value_.Add(v); }
+  const util::LogHistogram& value() const { return value_; }
 
  private:
-  util::LogHistogram log_;
-  util::RunningStats stats_;
-  util::QuantileSketch sketch_;
+  util::LogHistogram value_;
 };
 
-/// Point-in-time copy of one histogram series, for exposition.
-struct HistogramSnapshot {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  /// True when the quantiles above are exact (sample set fully retained).
-  bool exact = true;
-};
+/// Point-in-time copy of one histogram series. Snapshots merge bucket by
+/// bucket, so merged quantiles are quantiles of the merged data.
+using HistogramSnapshot = util::LogHistogram;
 
 /// Point-in-time copy of one series. Which value field is meaningful
 /// depends on the owning family's kind.
@@ -137,11 +96,8 @@ struct MetricsSnapshot {
 /// are unioned by (name, labels), keeping first-seen order. Counters and
 /// gauges sum — every engine gauge (memory bytes, stream/query counts,
 /// pending candidates) is an extensive quantity, so summation is the
-/// correct fleet aggregate. Histograms merge count / sum / min / max
-/// exactly and recompute the mean; quantiles are count-weighted averages
-/// of the shard quantiles, and `exact` is cleared whenever more than one
-/// non-empty shard contributed (cross-shard quantiles cannot be recovered
-/// from summaries).
+/// correct fleet aggregate. Histograms add bucket by bucket, so the merged
+/// series is exactly the histogram of every shard's observations.
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards);
 
 /// Named metric families (counter / gauge / histogram), each with any

@@ -171,11 +171,11 @@ void MetricsTimeline::Record(uint64_t now_nanos,
             ChannelAgg agg;
           };
           const Field fields[] = {
-              {"count", static_cast<double>(h.count), ChannelAgg::kDelta},
-              {"sum", h.sum, ChannelAgg::kDelta},
-              {"p50", h.p50, ChannelAgg::kGauge},
-              {"p90", h.p90, ChannelAgg::kGauge},
-              {"p99", h.p99, ChannelAgg::kGauge},
+              {"count", static_cast<double>(h.count()), ChannelAgg::kDelta},
+              {"sum", h.sum(), ChannelAgg::kDelta},
+              {"p50", h.Quantile(0.5), ChannelAgg::kGauge},
+              {"p90", h.Quantile(0.9), ChannelAgg::kGauge},
+              {"p99", h.Quantile(0.99), ChannelAgg::kGauge},
           };
           for (const Field& field : fields) {
             Channel* c = FindOrCreateChannel(family_id, field.name,

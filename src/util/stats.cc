@@ -1,9 +1,8 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-
-#include "util/string_util.h"
 
 namespace springdtw {
 namespace util {
@@ -62,100 +61,72 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void QuantileSketch::Merge(const QuantileSketch& other) {
-  if (other.samples_.empty()) return;
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
+int LogHistogram::BucketIndex(double value) {
+  if (!(value > 0.0)) return 0;
+  // A positive double is 2^exponent * 1.m; the top kSubBucketBits bits of
+  // the mantissa pick the linear sub-bucket within the octave.
+  const auto bits = std::bit_cast<uint64_t>(value);
+  const int exponent = static_cast<int>(bits >> 52) - 1023;
+  if (exponent < kMinExponent) return 0;
+  if (exponent >= kMaxExponent) return kNumBuckets - 1;
+  const auto sub =
+      static_cast<int>((bits >> (52 - kSubBucketBits)) & (kSubBuckets - 1));
+  return 1 + (exponent - kMinExponent) * kSubBuckets + sub;
 }
 
-void QuantileSketch::Reset() {
-  samples_.clear();
-  samples_.shrink_to_fit();
-  sorted_ = false;
-}
-
-double QuantileSketch::Quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<size_t>(
-      q * static_cast<double>(samples_.size() - 1) + 0.5);
-  return samples_[std::min(rank, samples_.size() - 1)];
+double LogHistogram::BucketMidpoint(int index) {
+  if (index == 0) return 0.0;
+  const int exponent = kMinExponent + (index - 1) / kSubBuckets;
+  const int sub = (index - 1) % kSubBuckets;
+  return std::ldexp(1.0 + (sub + 0.5) / kSubBuckets, exponent);
 }
 
 void LogHistogram::Add(double value) {
-  ++count_;
-  max_seen_ = std::max(max_seen_, value);
-  int bucket = 0;
-  if (value >= 1.0) {
-    bucket = static_cast<int>(std::floor(std::log2(value))) + 1;
-    bucket = std::clamp(bucket, 0, kNumBuckets - 1);
+  if (count_ == 0) {
+    buckets_.reserve(kNumBuckets);
+    min_ = max_ = value;
   }
-  ++buckets_[static_cast<size_t>(bucket)];
+  const auto b = static_cast<size_t>(BucketIndex(value));
+  if (b >= buckets_.size()) buckets_.resize(b + 1);
+  ++buckets_[b];
+  ++count_;
+  sum_ += value;
+  min_ = std::min(min_, value);
+  max_ = std::max(max_, value);
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
-  for (int b = 0; b < kNumBuckets; ++b) {
-    buckets_[static_cast<size_t>(b)] +=
-        other.buckets_[static_cast<size_t>(b)];
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size());
+  }
+  for (size_t b = 0; b < other.buckets_.size(); ++b) {
+    buckets_[b] += other.buckets_[b];
   }
   count_ += other.count_;
-  max_seen_ = std::max(max_seen_, other.max_seen_);
-}
-
-void LogHistogram::SerializeTo(ByteWriter* writer) const {
-  writer->WriteI64(count_);
-  writer->WriteDouble(max_seen_);
-  writer->WriteInt64Vector(buckets_);
-}
-
-bool LogHistogram::DeserializeFrom(ByteReader* reader) {
-  int64_t count = 0;
-  double max_seen = 0.0;
-  std::vector<int64_t> buckets;
-  if (!reader->ReadI64(&count) || !reader->ReadDouble(&max_seen) ||
-      !reader->ReadInt64Vector(&buckets)) {
-    return false;
-  }
-  if (count < 0 || buckets.size() != static_cast<size_t>(kNumBuckets)) {
-    return false;
-  }
-  int64_t total = 0;
-  for (const int64_t b : buckets) {
-    if (b < 0) return false;
-    total += b;
-  }
-  if (total != count) return false;
-  count_ = count;
-  max_seen_ = max_seen;
-  buckets_ = std::move(buckets);
-  return true;
+  sum_ += other.sum_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
 }
 
 double LogHistogram::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<int64_t>(
-      q * static_cast<double>(count_ - 1) + 0.5);
+  const auto rank =
+      static_cast<int64_t>(q * static_cast<double>(count_ - 1) + 0.5);
+  // Buckets below min's are empty.
   int64_t seen = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    seen += buckets_[static_cast<size_t>(b)];
-    if (seen > target) {
-      // Upper edge of bucket b: 2^(b-1) for b >= 1, else 1.
-      return b == 0 ? 1.0 : std::ldexp(1.0, b);
-    }
+  const int64_t* counts = buckets_.data();
+  const int size = static_cast<int>(buckets_.size());
+  for (int b = BucketIndex(min_); b < size; ++b) {
+    seen += counts[b];
+    if (seen > rank) return std::clamp(BucketMidpoint(b), min_, max_);
   }
-  return max_seen_;
-}
-
-std::string LogHistogram::Summary() const {
-  return StrFormat("count=%lld p50=%.0f p90=%.0f p99=%.0f max=%.0f",
-                   static_cast<long long>(count_), Quantile(0.5),
-                   Quantile(0.9), Quantile(0.99), max_seen_);
+  return max_;
 }
 
 }  // namespace util

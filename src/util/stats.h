@@ -2,7 +2,6 @@
 #define SPRINGDTW_UTIL_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/codec.h"
@@ -48,67 +47,62 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Collects samples and answers exact quantile queries. Intended for bench
-/// and monitor latency reporting where sample counts are modest (<= millions).
-class QuantileSketch {
- public:
-  QuantileSketch() = default;
-
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  int64_t count() const { return static_cast<int64_t>(samples_.size()); }
-
-  /// Merges another sketch's samples into this one.
-  void Merge(const QuantileSketch& other);
-
-  /// Resets to the empty state (releases sample memory).
-  void Reset();
-
-  /// Exact q-quantile (0 <= q <= 1) by nearest-rank. Returns 0 when empty.
-  double Quantile(double q) const;
-
-  double Median() const { return Quantile(0.5); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
-/// Fixed-layout log-scale histogram for latency-style distributions: buckets
-/// are powers of two in nanoseconds from 1ns to ~1s. O(1) add, tiny memory.
+/// Log-linear histogram with an exact count, sum, min and max: the
+/// accumulator behind every obs::Histogram. Each power of two in
+/// [2^kMinExponent, 2^kMaxExponent) is split into kSubBuckets equal-width
+/// sub-buckets; values below 2^kMinExponent (zero and negatives included)
+/// share one zero bucket, and values at or above 2^kMaxExponent share the
+/// top bucket.
+/// The range covers sub-microsecond values in milliseconds as well as
+/// nanosecond latencies of days.
+///
+/// Quantile(q) answers the midpoint of the nearest-rank bucket, clamped to
+/// [min, max]: within 1/(2 * kSubBuckets) = 1/32 of the exact nearest-rank
+/// value for observations inside the range. Merge adds bucket by bucket, so
+/// a merged histogram's quantiles are those of the union of its inputs.
+///
+/// An empty histogram holds no bucket table. The first Add reserves all
+/// kNumBuckets int64 counts, so later Adds never allocate; the table's size
+/// only reaches the highest occupied bucket, so copies (snapshots) carry
+/// just that prefix.
 class LogHistogram {
  public:
-  static constexpr int kNumBuckets = 40;
+  static constexpr int kSubBucketBits = 4;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  static constexpr int kMinExponent = -16;
+  static constexpr int kMaxExponent = 48;
+  static constexpr int kNumBuckets =
+      1 + (kMaxExponent - kMinExponent) * kSubBuckets;
 
-  LogHistogram() : buckets_(kNumBuckets, 0) {}
-
-  /// Adds a non-negative observation (values are clamped into range).
+  /// Accounts one observation.
   void Add(double value);
 
-  /// Merges another histogram into this one, bucket-wise.
+  /// Merges another histogram into this one, bucket by bucket.
   void Merge(const LogHistogram& other);
 
   int64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  /// Smallest / largest observation; 0 when empty.
+  double min() const { return min_; }
+  double max() const { return max_; }
+  double mean() const {
+    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+  }
 
-  /// Approximate q-quantile: returns the upper edge of the bucket where the
-  /// rank falls. Returns 0 when empty.
+  /// Nearest-rank q-quantile (0 <= q <= 1), to the bucket accuracy above.
+  /// Returns 0 when empty.
   double Quantile(double q) const;
 
-  /// Renders a compact one-line summary: "count=... p50=... p99=... max=...".
-  std::string Summary() const;
-
-  /// Appends the histogram state to `writer` (for checkpoints).
-  void SerializeTo(ByteWriter* writer) const;
-  /// Restores state written by SerializeTo; false on truncated or corrupt
-  /// input (wrong bucket count, negative counts).
-  bool DeserializeFrom(ByteReader* reader);
-
  private:
+  static int BucketIndex(double value);
+  static double BucketMidpoint(int index);
+
+  /// Counts up to the highest occupied bucket; empty while count_ == 0.
   std::vector<int64_t> buckets_;
   int64_t count_ = 0;
-  double max_seen_ = 0.0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 }  // namespace util

@@ -1,16 +1,19 @@
 // Golden checkpoint fixtures: a deterministic MonitorEngine and a 2-worker
 // ShardedMonitor are driven through a seeded workload, and their
 // SerializeState() bytes must equal the committed fixtures under
-// tests/testdata/ byte for byte. The fixtures pin the SPRE v2 / SPRM / SPR1
+// tests/testdata/ byte for byte. The fixtures pin the SPRE v3 / SPRM / SPR1
 // / SPV2 layouts and the matcher state they carry across refactors of the
 // kernel and the engine, which same-build comparisons cannot do.
+// golden_engine_v2.spre is the same engine written as SPRE v2; it is frozen
+// (never regenerated) and must restore to the v3 fixture's bytes.
 //
 // The workload covers NaN repair, scalar and vector queries, an epsilon = 0
 // query, length-bounded queries, a query attached mid-stream, a removed
 // query and a pending candidate at checkpoint time.
 //
 // To regenerate (only when a format change is intended), run this binary
-// with SPRINGDTW_GOLDEN_OUT=<dir>; it writes the two fixtures there.
+// with SPRINGDTW_GOLDEN_OUT=<dir>; it writes golden_engine.spre and
+// golden_sharded.sprm there.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -35,6 +38,7 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr char kEngineFixture[] = "golden_engine.spre";
+constexpr char kEngineV2Fixture[] = "golden_engine_v2.spre";
 constexpr char kShardedFixture[] = "golden_sharded.sprm";
 
 core::SpringOptions Options(double epsilon, int64_t max_len = 0,
@@ -211,6 +215,12 @@ TEST(GoldenCheckpointTest, FixturesRestoreAndReserializeIdentically) {
   ShardedMonitor monitor(options);
   ASSERT_TRUE(monitor.RestoreState(sharded_bytes).ok());
   EXPECT_EQ(monitor.SerializeState(), sharded_bytes);
+}
+
+TEST(GoldenCheckpointTest, EngineV2FixtureRestoresToV3Bytes) {
+  MonitorEngine engine;
+  ASSERT_TRUE(engine.RestoreState(ReadFixture(kEngineV2Fixture)).ok());
+  EXPECT_EQ(engine.SerializeState(), ReadFixture(kEngineFixture));
 }
 
 }  // namespace

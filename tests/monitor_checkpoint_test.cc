@@ -1,6 +1,9 @@
 // Engine-level checkpoint/restore: a restored engine continues every
 // stream (scalar and vector) exactly like the original.
 
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "gen/masked_chirp.h"
 #include "monitor/engine.h"
 #include "monitor/sink.h"
+#include "util/codec.h"
 #include "util/random.h"
 
 namespace springdtw {
@@ -140,24 +144,74 @@ TEST(EngineCheckpointTest, VectorStreamsResumeIdentically) {
   }
 }
 
-TEST(EngineCheckpointTest, LatencyHistogramSurvivesRestore) {
-  MonitorEngine original;
-  original.EnableLatencyTracking(true);
-  const int64_t stream = original.AddStream("s");
-  ASSERT_TRUE(original.AddQuery(stream, "q", {1.0, 2.0}, Options(0.5)).ok());
-  for (int t = 0; t < 50; ++t) {
-    ASSERT_TRUE(original.Push(stream, 9.0).ok());
-  }
-  ASSERT_EQ(original.push_latency_nanos().count(), 50);
+/// A version-2 checkpoint of the same engine as `v3`: the little-endian
+/// version field set to 2 and `tail` (the retired push-latency state)
+/// appended.
+std::vector<uint8_t> AsV2(std::vector<uint8_t> v3,
+                          const util::ByteWriter& tail) {
+  EXPECT_EQ(v3[4], 3);
+  v3[4] = 2;
+  v3.insert(v3.end(), tail.buffer().begin(), tail.buffer().end());
+  return v3;
+}
 
-  MonitorEngine restored;
-  ASSERT_TRUE(restored.RestoreState(original.SerializeState()).ok());
-  EXPECT_EQ(restored.push_latency_nanos().count(), 50);
-  EXPECT_DOUBLE_EQ(restored.push_latency_nanos().Quantile(0.5),
-                   original.push_latency_nanos().Quantile(0.5));
-  // Latency tracking itself was re-enabled from the checkpoint.
-  ASSERT_TRUE(restored.Push(stream, 9.0).ok());
-  EXPECT_EQ(restored.push_latency_nanos().count(), 51);
+/// The v2 latency tail: tracking flag, count, max, then the buckets.
+util::ByteWriter V2Tail(int64_t count, const std::vector<int64_t>& buckets) {
+  util::ByteWriter tail;
+  tail.WriteBool(true);
+  tail.WriteI64(count);
+  tail.WriteDouble(1000.0);
+  tail.WriteInt64Vector(buckets);
+  return tail;
+}
+
+std::vector<uint8_t> SmallCheckpoint() {
+  MonitorEngine engine;
+  const int64_t stream = engine.AddStream("s");
+  EXPECT_TRUE(engine.AddQuery(stream, "q", {1.0, 2.0}, Options(0.5)).ok());
+  for (int t = 0; t < 50; ++t) EXPECT_TRUE(engine.Push(stream, 9.0).ok());
+  return engine.SerializeState();
+}
+
+TEST(EngineCheckpointTest, V2LatencyTailRejectsCorruptBuckets) {
+  const std::vector<uint8_t> v3 = SmallCheckpoint();
+  std::vector<int64_t> buckets(40, 0);
+  buckets[11] = 50;
+  {
+    // A consistent tail is validated and dropped.
+    MonitorEngine restored;
+    ASSERT_TRUE(restored.RestoreState(AsV2(v3, V2Tail(50, buckets))).ok());
+    EXPECT_EQ(restored.SerializeState(), v3);
+  }
+  std::vector<int64_t> negative = buckets;
+  negative[0] = -1;
+  const std::vector<std::pair<int64_t, std::vector<int64_t>>> corrupt = {
+      {49, buckets},                      // buckets do not sum to count
+      {49, negative},                     // a negative bucket
+      {50, std::vector<int64_t>(39, 0)},  // wrong bucket count
+      {-1, std::vector<int64_t>(40, 0)}};  // negative count
+  for (const auto& [count, tail_buckets] : corrupt) {
+    MonitorEngine restored;
+    EXPECT_EQ(restored.RestoreState(AsV2(v3, V2Tail(count, tail_buckets)))
+                  .code(),
+              util::StatusCode::kInvalidArgument)
+        << "count=" << count << " buckets=" << tail_buckets.size();
+  }
+}
+
+TEST(EngineCheckpointTest, V2LatencyTailRejectsTruncation) {
+  const std::vector<uint8_t> v3 = SmallCheckpoint();
+  std::vector<int64_t> buckets(40, 0);
+  buckets[3] = 2;
+  const std::vector<uint8_t> v2 = AsV2(v3, V2Tail(2, buckets));
+  ASSERT_TRUE(MonitorEngine().RestoreState(v2).ok());
+  // Every cut inside the tail fails cleanly.
+  for (size_t size = v3.size(); size < v2.size(); ++size) {
+    MonitorEngine restored;
+    EXPECT_FALSE(
+        restored.RestoreState(std::span<const uint8_t>(v2.data(), size)).ok())
+        << "size=" << size;
+  }
 }
 
 TEST(EngineCheckpointTest, RestoreRequiresFreshEngine) {

@@ -10,6 +10,7 @@
 
 #include "core/spring.h"
 #include "monitor/sink.h"
+#include "obs/observability.h"
 #include "ts/vector_series.h"
 #include "util/random.h"
 
@@ -230,18 +231,41 @@ TEST(MonitorEngineTest, PushCountsMatchesReturned) {
 }
 
 TEST(MonitorEngineTest, LatencyTrackingRecords) {
+  // An attached bundle's spring_push_latency_nanos gets one observation
+  // per ingest run: each Push, each PushBatch and each PushRow.
+  obs::Observability observability;
   MonitorEngine engine;
-  engine.EnableLatencyTracking(true);
+  engine.AttachObservability(&observability);
   const int64_t stream = engine.AddStream("s");
   ASSERT_TRUE(
       engine.AddQuery(stream, "q", std::vector<double>(64, 0.0), Options(1.0))
           .ok());
+  const int64_t vector_stream = engine.AddVectorStream("v", 2);
+  ts::VectorSeries vector_query(2);
+  vector_query.AppendRow(std::vector<double>{0.0, 0.0});
+  ASSERT_TRUE(
+      engine.AddVectorQuery(vector_stream, "vq", vector_query, Options(1.0))
+          .ok());
   util::Rng rng(5);
-  for (int t = 0; t < 1000; ++t) {
+  for (int t = 0; t < 100; ++t) {
     ASSERT_TRUE(engine.Push(stream, rng.Gaussian()).ok());
   }
-  EXPECT_EQ(engine.push_latency_nanos().count(), 1000);
-  EXPECT_GT(engine.push_latency_nanos().Quantile(0.5), 0.0);
+  std::vector<double> run(32);
+  for (int r = 0; r < 10; ++r) {
+    for (double& x : run) x = rng.Gaussian();
+    ASSERT_TRUE(engine.PushBatch(stream, run).ok());
+  }
+  for (int t = 0; t < 7; ++t) {
+    const double row[2] = {rng.Gaussian(), rng.Gaussian()};
+    ASSERT_TRUE(engine.PushRow(vector_stream, row).ok());
+  }
+  const obs::MetricsSnapshot snapshot = observability.registry().Snapshot();
+  const obs::FamilySnapshot* family =
+      snapshot.Find("spring_push_latency_nanos");
+  ASSERT_NE(family, nullptr);
+  ASSERT_EQ(family->series.size(), 1u);
+  EXPECT_EQ(family->series[0].histogram.count(), 100 + 10 + 7);
+  EXPECT_GT(family->series[0].histogram.sum(), 0.0);
 }
 
 TEST(MonitorEngineTest, FootprintAggregatesAllQueries) {

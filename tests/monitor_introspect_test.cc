@@ -260,7 +260,7 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
     for (const auto& label : series.labels) {
       if (label.key != "stage") continue;
       for (int s = 0; s < 4; ++s) {
-        if (label.value == kStages[s] && series.histogram.count > 0) {
+        if (label.value == kStages[s] && series.histogram.count() > 0) {
           saw[s] = true;
         }
       }

@@ -93,11 +93,11 @@ TEST(MonitorObservabilityTest, ReportDelayHistogramMatchesOutputDelay) {
   ASSERT_NE(family, nullptr);
   ASSERT_EQ(family->series.size(), 1u);
   const obs::HistogramSnapshot& h = family->series[0].histogram;
-  EXPECT_EQ(h.count, stats.output_delay.count());
-  EXPECT_DOUBLE_EQ(h.sum, stats.output_delay.sum());
-  EXPECT_DOUBLE_EQ(h.mean, stats.output_delay.mean());
-  EXPECT_DOUBLE_EQ(h.min, stats.output_delay.min());
-  EXPECT_DOUBLE_EQ(h.max, stats.output_delay.max());
+  EXPECT_EQ(h.count(), stats.output_delay.count());
+  EXPECT_DOUBLE_EQ(h.sum(), stats.output_delay.sum());
+  EXPECT_DOUBLE_EQ(h.mean(), stats.output_delay.mean());
+  EXPECT_DOUBLE_EQ(h.min(), stats.output_delay.min());
+  EXPECT_DOUBLE_EQ(h.max(), stats.output_delay.max());
 }
 
 TEST(MonitorObservabilityTest, TraceMatchReportedCarriesOutputDelay) {

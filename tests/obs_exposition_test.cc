@@ -42,8 +42,8 @@ TEST(RenderPrometheusTest, GoldenOutput) {
       "spring_memory_bytes 4096\n"
       "# HELP spring_report_delay_ticks Report delay in ticks.\n"
       "# TYPE spring_report_delay_ticks summary\n"
-      "spring_report_delay_ticks{stream=\"s0\",quantile=\"0.5\"} 6\n"
-      "spring_report_delay_ticks{stream=\"s0\",quantile=\"0.9\"} 9\n"
+      "spring_report_delay_ticks{stream=\"s0\",quantile=\"0.5\"} 6.125\n"
+      "spring_report_delay_ticks{stream=\"s0\",quantile=\"0.9\"} 9.25\n"
       "spring_report_delay_ticks{stream=\"s0\",quantile=\"0.99\"} 10\n"
       "spring_report_delay_ticks_sum{stream=\"s0\"} 55\n"
       "spring_report_delay_ticks_count{stream=\"s0\"} 10\n";
@@ -105,8 +105,7 @@ TEST(RenderJsonTest, GoldenOutput) {
       "{\"name\":\"spring_report_delay_ticks\",\"type\":\"histogram\","
       "\"help\":\"Report delay in ticks.\",\"series\":["
       "{\"labels\":{\"stream\":\"s0\"},\"count\":10,\"sum\":55,\"min\":1,"
-      "\"max\":10,\"mean\":5.5,\"p50\":6,\"p90\":9,\"p99\":10,"
-      "\"exact\":true}]}"
+      "\"max\":10,\"mean\":5.5,\"p50\":6.125,\"p90\":9.25,\"p99\":10}]}"
       "]}";
   EXPECT_EQ(got, want);
 }
@@ -137,7 +136,23 @@ TEST(RenderSummaryLineTest, MentionsEachFamily) {
   EXPECT_NE(line.find("spring_ticks_total=100"), std::string::npos) << line;
   EXPECT_NE(line.find("spring_memory_bytes=4096"), std::string::npos)
       << line;
-  EXPECT_NE(line.find("spring_report_delay_ticks{p50=6,p99=10,n=10}"),
+  EXPECT_NE(line.find("spring_report_delay_ticks{p50=6.125,p99=10,n=10}"),
+            std::string::npos)
+      << line;
+}
+
+TEST(RenderSummaryLineTest, MergesEverySeriesOfAFamily) {
+  // Two queries whose report delays differ: the family's line describes
+  // both, not just the first series.
+  MetricsRegistry registry;
+  Histogram* fast = registry.GetHistogram("spring_report_delay_ticks", "",
+                                          {Label{"query", "fast"}});
+  Histogram* slow = registry.GetHistogram("spring_report_delay_ticks", "",
+                                          {Label{"query", "slow"}});
+  for (int i = 0; i < 2; ++i) fast->Observe(1.0);
+  for (int i = 0; i < 3; ++i) slow->Observe(100.0);
+  const std::string line = RenderSummaryLine(registry.Snapshot());
+  EXPECT_NE(line.find("spring_report_delay_ticks{p50=100,p99=100,n=5}"),
             std::string::npos)
       << line;
 }

@@ -1,9 +1,13 @@
 #include "obs/metrics.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/memory.h"
+#include "util/random.h"
 
 namespace springdtw {
 namespace obs {
@@ -81,30 +85,31 @@ TEST(MetricsRegistryTest, HistogramExactQuantilesWhileSmall) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("latency", "");
   for (int i = 1; i <= 100; ++i) h->Observe(static_cast<double>(i));
-  EXPECT_TRUE(h->exact());
-  EXPECT_EQ(h->count(), 100);
-  EXPECT_DOUBLE_EQ(h->sum(), 5050.0);
-  EXPECT_NEAR(h->Quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h->Quantile(0.99), 99.0, 1.0);
+  EXPECT_EQ(h->value().count(), 100);
+  EXPECT_DOUBLE_EQ(h->value().sum(), 5050.0);
 
   const HistogramSnapshot snap =
       registry.Snapshot().Find("latency")->series[0].histogram;
-  EXPECT_EQ(snap.count, 100);
-  EXPECT_DOUBLE_EQ(snap.min, 1.0);
-  EXPECT_DOUBLE_EQ(snap.max, 100.0);
-  EXPECT_DOUBLE_EQ(snap.mean, 50.5);
-  EXPECT_TRUE(snap.exact);
-  EXPECT_NEAR(snap.p99, 99.0, 1.0);
+  EXPECT_EQ(snap.count(), 100);
+  EXPECT_DOUBLE_EQ(snap.min(), 1.0);
+  EXPECT_DOUBLE_EQ(snap.max(), 100.0);
+  EXPECT_DOUBLE_EQ(snap.mean(), 50.5);
+  // Nearest-rank values are 51 and 99; buckets answer within 1/32.
+  EXPECT_NEAR(snap.Quantile(0.5), 51.0, 51.0 / 32.0);
+  EXPECT_NEAR(snap.Quantile(0.99), 99.0, 99.0 / 32.0);
 }
 
-TEST(MetricsRegistryTest, HistogramResetClears) {
+TEST(MetricsRegistryTest, HistogramObserveDoesNotAllocate) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("latency", "");
-  h->Observe(5.0);
-  h->Reset();
-  EXPECT_EQ(h->count(), 0);
-  EXPECT_TRUE(h->exact());
-  EXPECT_DOUBLE_EQ(h->Quantile(0.5), 0.0);
+  h->Observe(1.0);  // Allocates the bucket table, once.
+  util::Rng rng(3);
+  std::vector<double> values(1 << 16);
+  for (double& v : values) v = std::exp(rng.Gaussian(9.9, 2.0));
+  util::ScopedAllocationCheck check;
+  for (const double v : values) h->Observe(v);
+  EXPECT_EQ(check.Allocations(), 0);
+  EXPECT_EQ(check.Bytes(), 0);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsAPointInTimeCopy) {
@@ -182,31 +187,52 @@ TEST(MergeSnapshotsTest, SharedSeriesSumCountersAndGauges) {
 }
 
 TEST(MergeSnapshotsTest, HistogramMergeWithMismatchedLayouts) {
-  // Shard A stays small enough to be exact; shard B overflows into the
-  // sketch — the merged summary must blend them (count-weighted), keep the
-  // true extremes and totals, and drop the `exact` claim.
+  // A small shard and one past 2^20 observations merge into one series
+  // with the true extremes, totals and quantiles of the union.
   MetricsRegistry a;
   Histogram* ha = a.GetHistogram("lat", "");
   for (int i = 1; i <= 10; ++i) ha->Observe(static_cast<double>(i));
   MetricsRegistry b;
   Histogram* hb = b.GetHistogram("lat", "");
-  const int64_t n = Histogram::kMaxExactSamples + 10;
+  const int64_t n = (int64_t{1} << 20) + 10;
   for (int64_t i = 0; i < n; ++i) hb->Observe(1000.0);
-  const HistogramSnapshot b_snap =
-      b.Snapshot().Find("lat")->series[0].histogram;
-  ASSERT_FALSE(b_snap.exact) << "shard B must overflow the exact window";
 
   const MetricsSnapshot merged = MergeSnapshots({a.Snapshot(), b.Snapshot()});
   const HistogramSnapshot& h = merged.Find("lat")->series[0].histogram;
-  EXPECT_EQ(h.count, n + 10);
-  EXPECT_DOUBLE_EQ(h.min, 1.0);
-  EXPECT_DOUBLE_EQ(h.max, 1000.0);
-  EXPECT_DOUBLE_EQ(h.sum, 55.0 + static_cast<double>(n) * 1000.0);
-  EXPECT_FALSE(h.exact);
-  // Quantile blend is approximate: sketch quantiles report log-bucket upper
-  // edges, so allow one bucket (~7%) of slack past the true max.
-  EXPECT_GE(h.p50, 1.0);
-  EXPECT_LE(h.p99, 1100.0);
+  EXPECT_EQ(h.count(), n + 10);
+  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 55.0 + static_cast<double>(n) * 1000.0);
+  EXPECT_NEAR(h.Quantile(0.0), 1.0, 1.0 / 32.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1000.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 1000.0);
+}
+
+TEST(MergeSnapshotsTest, HistogramMergeEqualsUnionFeed) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  MetricsRegistry all;
+  util::Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    // Integer nanoseconds, so every sum is exact in any order.
+    const double v = std::round(std::exp(rng.Gaussian(9.9, 1.5)));
+    (i % 3 == 0 ? a : b).GetHistogram("lat", "")->Observe(v);
+    all.GetHistogram("lat", "")->Observe(v);
+  }
+  const MetricsSnapshot union_snapshot = all.Snapshot();
+  const MetricsSnapshot merged_snapshot =
+      MergeSnapshots({a.Snapshot(), b.Snapshot()});
+  const HistogramSnapshot& want =
+      union_snapshot.Find("lat")->series[0].histogram;
+  const HistogramSnapshot& merged =
+      merged_snapshot.Find("lat")->series[0].histogram;
+  EXPECT_EQ(merged.count(), want.count());
+  EXPECT_EQ(merged.sum(), want.sum());
+  EXPECT_EQ(merged.min(), want.min());
+  EXPECT_EQ(merged.max(), want.max());
+  for (const double q : {0.5, 0.9, 0.99}) {
+    EXPECT_EQ(merged.Quantile(q), want.Quantile(q)) << "q=" << q;
+  }
 }
 
 TEST(MergeSnapshotsTest, ZeroCountHistogramShardIsANoOp) {
@@ -214,17 +240,16 @@ TEST(MergeSnapshotsTest, ZeroCountHistogramShardIsANoOp) {
   a.GetHistogram("lat", "")->Observe(5.0);
   MetricsRegistry b;
   b.GetHistogram("lat", "");  // registered, never observed
-  const MetricsSnapshot merged = MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  const HistogramSnapshot& h = merged.Find("lat")->series[0].histogram;
-  EXPECT_EQ(h.count, 1);
-  EXPECT_DOUBLE_EQ(h.sum, 5.0);
-  EXPECT_TRUE(h.exact) << "merging an empty shard must not poison exactness";
-
-  // Order independence for the empty shard.
-  const MetricsSnapshot reversed =
-      MergeSnapshots({b.Snapshot(), a.Snapshot()});
-  EXPECT_EQ(reversed.Find("lat")->series[0].histogram.count, 1);
-  EXPECT_TRUE(reversed.Find("lat")->series[0].histogram.exact);
+  for (const MetricsSnapshot& merged :
+       {MergeSnapshots({a.Snapshot(), b.Snapshot()}),
+        MergeSnapshots({b.Snapshot(), a.Snapshot()})}) {
+    const HistogramSnapshot& h = merged.Find("lat")->series[0].histogram;
+    EXPECT_EQ(h.count(), 1);
+    EXPECT_DOUBLE_EQ(h.sum(), 5.0);
+    EXPECT_DOUBLE_EQ(h.min(), 5.0);
+    EXPECT_DOUBLE_EQ(h.max(), 5.0);
+    EXPECT_DOUBLE_EQ(h.Quantile(0.5), 5.0);
+  }
 }
 
 TEST(MetricKindTest, Names) {

@@ -1,6 +1,9 @@
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,94 +69,80 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.count(), 0);
 }
 
-TEST(QuantileSketchTest, ExactQuantiles) {
-  QuantileSketch q;
-  for (int i = 1; i <= 100; ++i) q.Add(static_cast<double>(i));
-  EXPECT_EQ(q.count(), 100);
-  EXPECT_DOUBLE_EQ(q.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(q.Quantile(1.0), 100.0);
-  EXPECT_NEAR(q.Median(), 50.0, 1.0);
-  EXPECT_NEAR(q.Quantile(0.9), 90.0, 1.0);
-}
-
-TEST(QuantileSketchTest, EmptyReturnsZero) {
-  QuantileSketch q;
-  EXPECT_DOUBLE_EQ(q.Quantile(0.5), 0.0);
-}
-
-TEST(QuantileSketchTest, AddAfterQueryStillSorted) {
-  QuantileSketch q;
-  q.Add(3.0);
-  q.Add(1.0);
-  EXPECT_DOUBLE_EQ(q.Quantile(0.0), 1.0);
-  q.Add(0.5);
-  EXPECT_DOUBLE_EQ(q.Quantile(0.0), 0.5);
-}
-
 TEST(LogHistogramTest, CountsAndQuantiles) {
   LogHistogram h;
-  for (int i = 0; i < 100; ++i) h.Add(100.0);  // Bucket edge 128.
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
+  for (int i = 0; i < 100; ++i) h.Add(100.0);
   EXPECT_EQ(h.count(), 100);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 128.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 10000.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 100.0);
+  // The bucket midpoint is clamped to [min, max] = [100, 100].
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 100.0);
   h.Add(1e9);
-  EXPECT_GT(h.Quantile(1.0), 1e8);
+  EXPECT_EQ(h.count(), 101);
+  EXPECT_DOUBLE_EQ(h.min(), 100.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1e9);
+  // Bucket midpoints now: within 1/32 of the nearest-rank values.
+  EXPECT_NEAR(h.Quantile(1.0), 1e9, 1e9 / 32.0);
+  EXPECT_NEAR(h.Quantile(0.5), 100.0, 100.0 / 32.0);
 }
 
 TEST(LogHistogramTest, QuantileOrderingIsMonotone) {
   LogHistogram h;
   Rng rng(7);
-  for (int i = 0; i < 1000; ++i) h.Add(std::exp(rng.Uniform(0.0, 20.0)));
-  EXPECT_LE(h.Quantile(0.1), h.Quantile(0.5));
-  EXPECT_LE(h.Quantile(0.5), h.Quantile(0.9));
-  EXPECT_LE(h.Quantile(0.9), h.Quantile(1.0));
+  double lo = 0.0;
+  double hi = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    const double x = std::exp(rng.Uniform(0.0, 20.0));
+    h.Add(x);
+    lo = i == 0 ? x : std::min(lo, x);
+    hi = i == 0 ? x : std::max(hi, x);
+  }
+  double previous = lo;
+  for (int step = 0; step <= 1000; ++step) {
+    const double value = h.Quantile(step / 1000.0);
+    EXPECT_LE(previous, value) << "q=" << step / 1000.0;
+    EXPECT_LE(value, hi) << "q=" << step / 1000.0;
+    previous = value;
+  }
 }
 
-TEST(LogHistogramTest, SummaryMentionsCount) {
+/// Feeds `samples` to a histogram and checks every quantile against the
+/// exact nearest-rank value of the sorted samples: within 1/32 of it.
+void ExpectQuantilesWithinOneThirtySecond(std::vector<double> samples,
+                                          const char* what) {
   LogHistogram h;
-  h.Add(5.0);
-  EXPECT_NE(h.Summary().find("count=1"), std::string::npos);
-}
-
-TEST(QuantileSketchTest, ResetClearsSamples) {
-  QuantileSketch q;
-  q.Add(1.0);
-  q.Add(2.0);
-  q.Reset();
-  EXPECT_EQ(q.count(), 0);
-  EXPECT_DOUBLE_EQ(q.Quantile(0.5), 0.0);
-  q.Add(7.0);
-  EXPECT_DOUBLE_EQ(q.Quantile(0.5), 7.0);
-}
-
-TEST(QuantileSketchTest, MergeMatchesSequentialFeed) {
-  Rng rng(11);
-  QuantileSketch all;
-  QuantileSketch a;
-  QuantileSketch b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.Uniform(0.0, 100.0);
-    all.Add(x);
-    (i % 3 == 0 ? a : b).Add(x);
-  }
-  // Query `a` first so merge must re-sort the combined samples.
-  (void)a.Quantile(0.5);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(a.Quantile(q), all.Quantile(q)) << q;
+  for (const double x : samples) h.Add(x);
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+  for (const double q :
+       {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    const auto rank = static_cast<size_t>(q * (n - 1.0) + 0.5);
+    const double exact = samples[rank];
+    EXPECT_LE(std::abs(h.Quantile(q) - exact), exact / 32.0)
+        << what << " q=" << q << " exact=" << exact;
   }
 }
 
-TEST(QuantileSketchTest, MergeEmptySides) {
-  QuantileSketch a;
-  QuantileSketch b;
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1);
-  QuantileSketch c;
-  a.Merge(c);
-  EXPECT_EQ(a.count(), 1);
-  EXPECT_DOUBLE_EQ(a.Quantile(1.0), 3.0);
+TEST(LogHistogramTest, QuantilesWithinOneThirtySecondOfExact) {
+  Rng rng(41);
+  // Nanosecond latencies: lognormal around 20 us with a heavy tail.
+  std::vector<double> nanos(100000);
+  for (double& x : nanos) x = std::round(std::exp(rng.Gaussian(9.9, 1.5)));
+  ExpectQuantilesWithinOneThirtySecond(nanos, "lognormal nanos");
+  // Sub-millisecond values in milliseconds.
+  std::vector<double> millis(100000);
+  for (double& x : millis) x = std::exp(rng.Uniform(-9.0, 0.0));
+  ExpectQuantilesWithinOneThirtySecond(millis, "sub-ms millis");
+  // Small integers, zero included (report delays in ticks).
+  std::vector<double> ticks(100000);
+  for (double& x : ticks) x = static_cast<double>(rng.UniformInt(0, 40));
+  ExpectQuantilesWithinOneThirtySecond(ticks, "small integers");
+  // Past 2^20 samples the bound still holds.
+  std::vector<double> many(int64_t{1} << 21);
+  for (double& x : many) x = std::round(std::exp(rng.Gaussian(9.9, 1.5)));
+  ExpectQuantilesWithinOneThirtySecond(many, "2^21 lognormal nanos");
 }
 
 TEST(LogHistogramTest, MergeMatchesSequentialFeed) {
@@ -171,46 +160,6 @@ TEST(LogHistogramTest, MergeMatchesSequentialFeed) {
   for (const double q : {0.1, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(a.Quantile(q), all.Quantile(q)) << q;
   }
-}
-
-TEST(LogHistogramTest, SerializeRoundTrips) {
-  LogHistogram h;
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) h.Add(std::exp(rng.Uniform(0.0, 10.0)));
-
-  ByteWriter writer;
-  h.SerializeTo(&writer);
-  ByteReader reader(writer.buffer());
-  LogHistogram restored;
-  ASSERT_TRUE(restored.DeserializeFrom(&reader));
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored.count(), h.count());
-  for (const double q : {0.1, 0.5, 0.9, 1.0}) {
-    EXPECT_DOUBLE_EQ(restored.Quantile(q), h.Quantile(q)) << q;
-  }
-}
-
-TEST(LogHistogramTest, DeserializeRejectsCorruptBuckets) {
-  // count=1 but bucket totals sum to 0 -> inconsistent.
-  ByteWriter writer;
-  writer.WriteI64(1);       // count_
-  writer.WriteDouble(0.0);  // max_seen_
-  writer.WriteInt64Vector(std::vector<int64_t>(LogHistogram::kNumBuckets, 0));
-  ByteReader reader(writer.buffer());
-  LogHistogram h;
-  EXPECT_FALSE(h.DeserializeFrom(&reader));
-}
-
-TEST(LogHistogramTest, DeserializeRejectsTruncation) {
-  LogHistogram h;
-  h.Add(2.0);
-  ByteWriter writer;
-  h.SerializeTo(&writer);
-  std::vector<uint8_t> bytes = writer.buffer();
-  bytes.resize(bytes.size() / 2);
-  ByteReader reader(bytes);
-  LogHistogram restored;
-  EXPECT_FALSE(restored.DeserializeFrom(&reader));
 }
 
 }  // namespace

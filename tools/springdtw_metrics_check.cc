@@ -14,8 +14,9 @@
 // appears as a family of type "gauge", and every histogram series in
 // the file is well-formed: count >= 0 and — whenever count > 0 — finite
 // (non-null) sum/min/max/mean and non-negative, finite p50/p90/p99
-// quantile bounds. Used by the ctest smoke tests so CI catches a broken
-// exposition path without external JSON tooling.
+// quantiles ordered min <= p50 <= p90 <= p99 <= max. Used by the ctest
+// smoke tests so CI catches a broken exposition path without external JSON
+// tooling.
 //
 // --timez=FILE validates a /timez response (either the catalog document or
 // a ?metric= series document): positive tier widths/slots, coarser tier
@@ -30,6 +31,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -289,6 +291,18 @@ class JsonChecker {
         SeriesError(springdtw::util::StrFormat(
             "series %s bucket bound is negative (%g)", keys[i],
             values[i].number));
+      }
+    }
+    // Quantiles are order statistics, so they nest inside the extremes.
+    // Indexes into kStatKeys: min, p50, p90, p99, max.
+    static constexpr size_t kOrdered[] = {2, 5, 6, 7, 3};
+    for (size_t i = 0; i + 1 < std::size(kOrdered); ++i) {
+      const ScalarValue& lo = values[kOrdered[i]];
+      const ScalarValue& hi = values[kOrdered[i + 1]];
+      if (!lo.is_number || !hi.is_number || lo.number > hi.number) {
+        SeriesError(springdtw::util::StrFormat(
+            "series needs %s <= %s (got %g, %g)", keys[kOrdered[i]],
+            keys[kOrdered[i + 1]], lo.number, hi.number));
       }
     }
   }
