@@ -289,8 +289,7 @@ leg_introspect_smoke() {
       ok=1
     fi
     introspect_get "$port" /metrics >"$tmp/metrics.out" 2>/dev/null
-    grep -q 'spring_stage_latency_nanos' "$tmp/metrics.out" &&
-      grep -q 'spring_ticks_total' "$tmp/metrics.out" &&
+    grep -q 'spring_ticks_total' "$tmp/metrics.out" &&
       grep -q 'spring_ring_occupancy' "$tmp/metrics.out" &&
       grep -q 'spring_e2e_latency_nanos' "$tmp/metrics.out" &&
       grep -q 'spring_trace_dropped_total' "$tmp/metrics.out" || {

@@ -623,15 +623,6 @@ util::MemoryFootprint MonitorEngine::Footprint() const {
   return fp;
 }
 
-namespace {
-
-constexpr uint32_t kEngineMagic = 0x53505245;  // "SPRE"
-// Version 3 drops the push-latency tail that version 2 appended (a
-// tracking flag and a 40-bucket histogram); an attached bundle's
-// spring_push_latency_nanos records the same runs. Version 2 checkpoints
-// restore with the tail validated and dropped; version 1 ones have none.
-constexpr uint32_t kEngineVersion = 3;
-
 void WriteStats(util::ByteWriter* writer, const QueryStats& stats) {
   writer->WriteI64(stats.ticks);
   writer->WriteI64(stats.matches);
@@ -643,6 +634,15 @@ bool ReadStats(util::ByteReader* reader, QueryStats* stats) {
          reader->ReadI64(&stats->matches) &&
          stats->output_delay.DeserializeFrom(reader);
 }
+
+namespace {
+
+constexpr uint32_t kEngineMagic = 0x53505245;  // "SPRE"
+// Version 3 drops the push-latency tail that version 2 appended (a
+// tracking flag and a 40-bucket histogram); an attached bundle's
+// spring_push_latency_nanos records the same runs. Version 2 checkpoints
+// restore with the tail validated and dropped; version 1 ones have none.
+constexpr uint32_t kEngineVersion = 3;
 
 /// Reads and drops a version-2 push-latency tail: the tracking flag, then
 /// the histogram's count, max and 40 non-negative buckets summing to the

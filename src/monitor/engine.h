@@ -29,6 +29,11 @@ struct QueryStats {
   util::RunningStats output_delay;
 };
 
+/// QueryStats' checkpoint encoding, shared by engine (SPRE) and sharded
+/// monitor (SPRM) checkpoints. ReadStats is false on truncation.
+void WriteStats(util::ByteWriter* writer, const QueryStats& stats);
+bool ReadStats(util::ByteReader* reader, QueryStats* stats);
+
 /// Engine construction options.
 struct EngineOptions {
   /// Unused; kept only because perfbench/ladder.cc still assigns them.

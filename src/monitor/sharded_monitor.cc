@@ -33,18 +33,6 @@ uint64_t NowNanos() {
   return static_cast<uint64_t>(util::Stopwatch::NowNanos());
 }
 
-void WriteStats(util::ByteWriter* writer, const QueryStats& stats) {
-  writer->WriteI64(stats.ticks);
-  writer->WriteI64(stats.matches);
-  stats.output_delay.SerializeTo(writer);
-}
-
-bool ReadStats(util::ByteReader* reader, QueryStats* stats) {
-  return reader->ReadI64(&stats->ticks) &&
-         reader->ReadI64(&stats->matches) &&
-         stats->output_delay.DeserializeFrom(reader);
-}
-
 }  // namespace
 
 ShardedMonitor::ShardedMonitor(const ShardedMonitorOptions& options)
@@ -81,9 +69,6 @@ ShardedMonitor::ShardedMonitor(const ShardedMonitorOptions& options)
                             ? kFlushSeq
                             : shard_raw->msg_seq0 +
                                   static_cast<uint64_t>(origin.batch_offset);
-          if (shard_raw->telemetry != nullptr) {
-            pending.buffered_nanos = NowNanos();
-          }
           pending.match = match;
           shard_raw->matches.push_back(pending);
         });
@@ -187,14 +172,9 @@ util::StatusOr<int64_t> ShardedMonitor::RemoveQuery(int64_t query_id) {
   shard.query_count.fetch_add(-1, std::memory_order_relaxed);
   DeliverPending();
   RefreshCostAccounting();
-  if (telemetry_ != nullptr) {
-    // Same reasoning as FlushAll: the mutation ran on the caller thread
-    // post-barrier, so republish or scrapes would keep seeing the removed
-    // query's gauges.
-    const uint64_t now = NowNanos();
-    shard.telemetry->Publish(*shard.engine, now);
-    PublishRouter(now);
-  }
+  // The removal mutated an engine on this thread; publish so scrapes stop
+  // seeing the removed query.
+  Publish(/*force=*/true);
   return *flushed;
 }
 
@@ -249,24 +229,16 @@ void ShardedMonitor::WorkerLoop(Shard* shard) {
   for (;;) {
     shard->queue->Pop(&msg);
     if (msg.kind == TickMessage::Kind::kStop) {
-      // Final snapshot so post-run scrapes (and a lingering server) see the
-      // complete worker state.
-      if (telemetry != nullptr) telemetry->Publish(*shard->engine, NowNanos());
       // order: release — pairs with Stop()'s drain acquire; publishes the
       // final engine state before the thread exits.
       shard->consumed.fetch_add(1, std::memory_order_release);
       return;
     }
-    // Stage stamps ride the span cadence: only the message carrying the
-    // sampled tick pays for clock reads and histogram observes (1 in ~4
-    // messages at 1-in-64 sampling).
+    // Span stamps ride the span cadence: only the message carrying the
+    // sampled tick reads the clock at pop (1 in ~4 messages at 1-in-64
+    // sampling).
     const bool sampled = telemetry != nullptr && msg.span_index >= 0;
-    uint64_t t_pop = 0;
-    if (sampled) {
-      t_pop = NowNanos();
-      telemetry->ring_residency->Observe(
-          static_cast<double>(t_pop - msg.enqueue_nanos));
-    }
+    const uint64_t t_pop = sampled ? NowNanos() : 0;
     shard->msg_seq0 = msg.seq0;
     const size_t matches_before = shard->matches.size();
     const auto pushed = shard->engine->PushBatch(
@@ -278,7 +250,6 @@ void ShardedMonitor::WorkerLoop(Shard* shard) {
     if (telemetry != nullptr) {
       const uint64_t t_done = NowNanos();
       if (sampled) {
-        telemetry->worker_pass->Observe(static_cast<double>(t_done - t_pop));
         // Assemble the sampled tick's span: router stamps ride in the
         // message, worker stamps are local, delivery stamps come at the
         // barrier. Visible to the router via the `consumed` release.
@@ -301,44 +272,12 @@ void ShardedMonitor::WorkerLoop(Shard* shard) {
       // order: relaxed — introspection counter; never synchronization.
       telemetry->ticks_ingested.fetch_add(msg.count,
                                           std::memory_order_relaxed);
-      // Republish on the throttle interval, and opportunistically whenever
-      // the ring runs dry (a scrape then sees fully current state). The
-      // dry-ring publish keeps half the throttle as a floor: on a saturated
-      // machine the ring drains between bursts constantly, and
-      // snapshotting the full registry each time would dominate the worker
-      // — drain barriers already republish unconditionally, so post-drain
-      // scrapes never depend on this path. Must happen before the
-      // `consumed` release below (see ShardTelemetry::Publish).
-      const uint64_t interval = telemetry_->publish_interval_nanos();
-      const uint64_t since = t_done - telemetry->last_publish_nanos;
-      if (since >= interval ||
-          (shard->queue->ApproxSize() == 0 && since >= interval / 2)) {
-        telemetry->Publish(*shard->engine, t_done);
-      }
     }
     // order: release — publishes everything written above (engine state,
-    // buffered matches) to the drain barrier's acquire of `consumed`.
+    // bundle, buffered matches, spans) to the acquire of `consumed` in
+    // AwaitQuiescent, after which the router may snapshot the bundle.
     shard->consumed.fetch_add(1, std::memory_order_release);
   }
-}
-
-util::Status ShardedMonitor::Push(int64_t stream_id, double value,
-                                  uint64_t client_send_nanos) {
-  if (stream_id < 0 || stream_id >= num_streams()) {
-    return util::NotFoundError(
-        util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
-  }
-  if (!started()) {
-    return util::FailedPreconditionError(
-        "Start() the monitor before pushing");
-  }
-  StreamInfo& stream = streams_[static_cast<size_t>(stream_id)];
-  if (!stream.repair_missing && ts::IsMissing(value)) {
-    return util::InvalidArgumentError(
-        "missing value pushed to a stream with repair disabled");
-  }
-  RouteValue(stream, value, client_send_nanos);
-  return util::Status::Ok();
 }
 
 util::Status ShardedMonitor::PushBatch(int64_t stream_id,
@@ -417,30 +356,10 @@ void ShardedMonitor::FlushStaged() {
   shard.produced.fetch_add(1, std::memory_order_relaxed);
   // Same sampling as the worker: only the span-carrying message is
   // stamped.
-  if (telemetry_ != nullptr && staged_.span_index >= 0) {
-    const uint64_t t_push = NowNanos();
-    staged_.enqueue_nanos = t_push;
-    shard.queue->Push(staged_);
-    const uint64_t t_pushed = NowNanos();
-    telemetry_->router_enqueue()->Observe(
-        static_cast<double>(t_pushed - t_push));
-    if (telemetry_->RouterPublishDue(t_pushed)) PublishRouter(t_pushed);
-  } else {
-    shard.queue->Push(staged_);
-  }
+  if (staged_.span_index >= 0) staged_.enqueue_nanos = NowNanos();
+  shard.queue->Push(staged_);
   has_staged_ = false;
   staged_worker_ = -1;
-}
-
-void ShardedMonitor::RefreshRingMetrics() {
-  for (size_t w = 0; w < shards_.size(); ++w) {
-    telemetry_->RefreshRing(w, *shards_[w]->queue);
-  }
-}
-
-void ShardedMonitor::PublishRouter(uint64_t now_nanos) {
-  RefreshRingMetrics();
-  telemetry_->PublishRouter(now_nanos);
 }
 
 void ShardedMonitor::AwaitQuiescent() {
@@ -463,13 +382,9 @@ int64_t ShardedMonitor::Drain() {
   if (started()) AwaitQuiescent();
   const int64_t delivered = DeliverPending();
   // Post-barrier the engines are caller-visible: refresh the per-query
-  // cost cache so ListQueries / the published /queryz snapshot are exact
-  // as of this barrier.
+  // cost cache so ListQueries is exact as of this barrier.
   RefreshCostAccounting();
-  // Barriers republish the router snapshot unconditionally so a scrape
-  // right after a drain sees current stage/ring metrics even on a
-  // low-traffic pipeline that never hits the throttle interval.
-  if (telemetry_ != nullptr) PublishRouter(NowNanos());
+  Publish(/*force=*/false);
   return delivered;
 }
 
@@ -485,13 +400,7 @@ int64_t ShardedMonitor::DeliverPending() {
               if (a.seq != b.seq) return a.seq < b.seq;
               return a.global_query_id < b.global_query_id;
             });
-  const uint64_t delivery_now =
-      (telemetry_ != nullptr && !delivery_scratch_.empty()) ? NowNanos() : 0;
   for (const PendingMatch& pending : delivery_scratch_) {
-    if (pending.buffered_nanos != 0) {
-      telemetry_->delivery_delay()->Observe(
-          static_cast<double>(delivery_now - pending.buffered_nanos));
-    }
     QueryInfo& query =
         queries_[static_cast<size_t>(pending.global_query_id)];
     ++query.stats.matches;
@@ -531,23 +440,16 @@ int64_t ShardedMonitor::FlushAll() {
   // the matches so they order after every tick match.
   for (auto& shard : shards_) shard->engine->FlushAll();
   delivered += DeliverPending();
-  RefreshCostAccounting();
-  if (telemetry_ != nullptr) {
-    // Republish everything: the flush mutated engine state on the caller
-    // thread, which the workers (parked until the router sends more work)
-    // would otherwise never pick up. Safe post-barrier — a worker is
-    // provably outside its Publish and stays parked until this thread
-    // routes to it again.
-    const uint64_t now = NowNanos();
-    for (auto& shard : shards_) shard->telemetry->Publish(*shard->engine, now);
-    PublishRouter(now);
-  }
+  Publish(/*force=*/true);
   return delivered;
 }
 
 void ShardedMonitor::Stop() {
   if (!started()) return;
   Drain();
+  // The final snapshot, so post-run scrapes (and a lingering server) see
+  // the complete state.
+  Publish(/*force=*/true);
   for (auto& shard : shards_) {
     TickMessage stop;
     stop.kind = TickMessage::Kind::kStop;
@@ -581,15 +483,18 @@ const QueryStats& ShardedMonitor::stats(int64_t query_id) const {
 obs::MetricsSnapshot ShardedMonitor::MergedMetricsSnapshot() {
   Drain();
   if (telemetry_ == nullptr) return {};
-  RefreshRingMetrics();
-  std::vector<obs::MetricsSnapshot> snapshots;
-  snapshots.reserve(shards_.size() + 1);
-  snapshots.push_back(telemetry_->RouterSnapshot());
-  for (auto& shard : shards_) {
-    shard->engine->RefreshObservabilityGauges();
-    snapshots.push_back(shard->telemetry->obs.registry().Snapshot());
+  Publish(/*force=*/true);
+  return telemetry_->PublishedMetricsSnapshot();
+}
+
+void ShardedMonitor::PollTimeline(bool force) {
+  if (telemetry_ == nullptr ||
+      !(force || telemetry_->PublishDue(NowNanos()))) {
+    return;
   }
-  return obs::MergeSnapshots(snapshots);
+  if (started()) AwaitQuiescent();
+  RefreshCostAccounting();
+  Publish(/*force=*/true);
 }
 
 util::MemoryFootprint ShardedMonitor::Footprint() {
@@ -846,45 +751,58 @@ obs::StatusReport ShardedMonitor::StatusSnapshot() const {
 
 void ShardedMonitor::RefreshCostAccounting() {
   if (telemetry_ == nullptr) return;
-  CostSnapshot snapshot;
-  snapshot.streams.resize(streams_.size());
+  for (QueryInfo& query : queries_) {
+    if (query.removed) continue;
+    const MonitorEngine& engine = *shards_[static_cast<size_t>(
+        streams_[static_cast<size_t>(query.stream_id)].worker)]->engine;
+    query.cells = engine.QueryCellsComputed(query.local_id);
+    query.est_cpu_nanos = engine.QueryEstCpuNanos(query.local_id);
+  }
+}
+
+void ShardedMonitor::Publish(bool force) {
+  if (telemetry_ == nullptr) return;
+  const uint64_t now = NowNanos();
+  if (!force && !telemetry_->PublishDue(now)) return;
+  CostSnapshot costs;
+  costs.streams.resize(streams_.size());
   for (size_t s = 0; s < streams_.size(); ++s) {
     const StreamInfo& stream = streams_[s];
-    StreamCost& row = snapshot.streams[s];
+    StreamCost& row = costs.streams[s];
     row.stream_id = static_cast<int64_t>(s);
     row.name = stream.name;
     row.worker = stream.worker;
     row.ticks = stream.pushes;
   }
-  snapshot.queries.reserve(queries_.size());
+  costs.queries.reserve(queries_.size());
   for (size_t i = 0; i < queries_.size(); ++i) {
-    QueryInfo& query = queries_[i];
+    const QueryInfo& query = queries_[i];
     if (query.removed) continue;
-    const StreamInfo& stream =
-        streams_[static_cast<size_t>(query.stream_id)];
-    const MonitorEngine& engine =
-        *shards_[static_cast<size_t>(stream.worker)]->engine;
-    query.cells = engine.QueryCellsComputed(query.local_id);
-    query.est_cpu_nanos = engine.QueryEstCpuNanos(query.local_id);
+    const StreamInfo& stream = streams_[static_cast<size_t>(query.stream_id)];
     QueryCost cost;
     cost.query_id = static_cast<int64_t>(i);
     cost.stream_id = query.stream_id;
     cost.query_name = query.name;
     cost.stream_name = stream.name;
-    cost.ticks = query.stats.ticks;
+    cost.ticks = stream.pushes;
     cost.cells = query.cells;
     cost.matches = query.stats.matches;
     cost.last_match_seq = query.last_match_seq;
     cost.est_cpu_nanos = query.est_cpu_nanos;
-    StreamCost& srow =
-        snapshot.streams[static_cast<size_t>(query.stream_id)];
-    ++srow.queries;
-    srow.cells += cost.cells;
-    srow.matches += cost.matches;
-    srow.est_cpu_nanos += cost.est_cpu_nanos;
-    snapshot.queries.push_back(std::move(cost));
+    StreamCost& row = costs.streams[static_cast<size_t>(query.stream_id)];
+    ++row.queries;
+    row.cells += cost.cells;
+    row.matches += cost.matches;
+    row.est_cpu_nanos += cost.est_cpu_nanos;
+    costs.queries.push_back(std::move(cost));
   }
-  telemetry_->PublishCosts(std::move(snapshot));
+  std::vector<MonitorEngine*> engines;
+  engines.reserve(shards_.size());
+  for (size_t w = 0; w < shards_.size(); ++w) {
+    telemetry_->RefreshRing(w, *shards_[w]->queue);
+    engines.push_back(shards_[w]->engine.get());
+  }
+  telemetry_->Publish(now, engines, std::move(costs));
 }
 
 }  // namespace monitor

@@ -34,11 +34,11 @@ struct ShardedMonitorOptions {
   size_t queue_capacity = 256;
   /// The one telemetry switch (docs/OBSERVABILITY.md). On, the monitor
   /// runs its telemetry plane (monitor/telemetry.h): per-shard metrics and
-  /// trace rings (merged by MergedMetricsSnapshot), pipeline stage
-  /// latencies, ring metrics, watchdog stamps, published snapshots, sampled
-  /// tick spans and per-query cost sampling. Each of the four options below
-  /// that asks for telemetry — a port, a timeline, alert rules, an SLO —
-  /// turns it on. Off, the hot path pays one predictable branch per
+  /// trace rings (merged by MergedMetricsSnapshot), ring metrics, watchdog
+  /// stamps, published snapshots, sampled tick spans with their end-to-end
+  /// stage latencies and per-query cost sampling. Each of the four options
+  /// below that asks for telemetry — a port, a timeline, alert rules, an
+  /// SLO — turns it on. Off, the hot path pays one predictable branch per
   /// message: no clock reads, no allocations.
   bool collect_metrics = false;
 
@@ -52,10 +52,11 @@ struct ShardedMonitorOptions {
   /// /healthz (503). The budget therefore encodes the expected feed
   /// cadence — a stream silent longer than this is treated as a stall.
   double staleness_budget_ms = 1000.0;
-  /// Workers and the router republish their snapshots at most this often
-  /// (plus whenever their queue runs empty); the timeline, alert pass and
-  /// embedder families (Telemetry::SetAuxMetricsProvider) ride the same
-  /// cadence.
+  /// The router publishes the plane's snapshots — shards, router,
+  /// embedder families (Telemetry::SetAuxMetricsProvider), timeline and
+  /// alert pass — at most this often, and only while the workers are
+  /// quiescent: after a Drain, or from PollTimeline. FlushAll, RemoveQuery,
+  /// Stop, MergedMetricsSnapshot and PollTimeline(true) always publish.
   double publish_interval_ms = 100.0;
 
   /// Metrics timeline + alerting: the router folds each published fleet
@@ -182,22 +183,26 @@ class ShardedMonitor {
     return started_.load(std::memory_order_relaxed);
   }
 
-  /// Routes one value to `stream_id`'s shard. Fails (kFailedPrecondition)
-  /// unless started. Matches produced by this value are buffered until the
-  /// next barrier. `client_send_nanos`, when nonzero, is the producer's
-  /// monotonic send stamp (the wire protocol's v2 TICK trailer); if this
-  /// value is span-sampled it becomes the span's client_send stage.
-  util::Status Push(int64_t stream_id, double value,
-                    uint64_t client_send_nanos = 0);
-
-  /// Routes a run of values (chunked into tick messages). Same contract
-  /// as Push per value; `client_send_nanos` applies to the whole run.
+  /// Routes a run of values (chunked into tick messages) to `stream_id`'s
+  /// shard. Fails (kFailedPrecondition) unless started. Matches produced by
+  /// these values are buffered until the next barrier. `client_send_nanos`,
+  /// when nonzero, is the producer's monotonic send stamp (the wire
+  /// protocol's v2 TICK trailer); if a value of the run is span-sampled it
+  /// becomes the span's client_send stage.
   util::Status PushBatch(int64_t stream_id, std::span<const double> values,
                          uint64_t client_send_nanos = 0);
 
+  /// PushBatch over one value.
+  util::Status Push(int64_t stream_id, double value,
+                    uint64_t client_send_nanos = 0) {
+    return PushBatch(stream_id, std::span<const double>(&value, 1),
+                     client_send_nanos);
+  }
+
   /// Barrier: blocks until every routed value is fully processed, then
-  /// delivers all buffered matches to the sinks in deterministic order.
-  /// Returns the number of matches delivered.
+  /// delivers all buffered matches to the sinks in deterministic order and
+  /// publishes the plane if a publish is due. Returns the number of
+  /// matches delivered.
   int64_t Drain();
 
   /// Barrier, then end-of-stream flush of every query's pending candidate.
@@ -234,9 +239,10 @@ class ShardedMonitor {
   /// Per-query counters, fresh as of the last barrier.
   const QueryStats& stats(int64_t query_id) const;
 
-  /// Barrier, then a fleet-wide merged metrics snapshot (see
-  /// obs::MergeSnapshots). Empty unless options.collect_metrics. Includes
-  /// the router-side registry (stage latencies, ring metrics).
+  /// Barrier and forced publish, then the published fleet-wide merged
+  /// metrics snapshot (see obs::MergeSnapshots): the shards, the router
+  /// registry (span latencies, ring metrics) and any aux families. Empty
+  /// unless options.collect_metrics.
   obs::MetricsSnapshot MergedMetricsSnapshot();
 
   /// The telemetry plane, or null when collect_metrics is off. Its
@@ -264,14 +270,14 @@ class ShardedMonitor {
   /// pending candidates, checkpoint age, uptime.
   obs::StatusReport StatusSnapshot() const;
 
-  /// Router thread only: the plane's throttled publish (Telemetry::Poll),
-  /// at most once per publish_interval_ms unless `force`. Router publish
-  /// points call it; embedders whose router thread idles (the net server's
-  /// event loop) call it periodically so absence rules and resolve
-  /// transitions happen without traffic. No-op without the plane.
-  void PollTimeline(bool force = false) {
-    if (telemetry_ != nullptr) telemetry_->Poll(force);
-  }
+  /// Router thread only: when a publish is due (or `force`), waits for
+  /// the workers to consume every routed message, then publishes the plane
+  /// — no match delivery, so sinks still run only at barriers. Embedders
+  /// whose router thread idles (the net server's event loop) call it
+  /// periodically so absence rules and resolve transitions happen without
+  /// traffic. After PollTimeline(true) the published state is exact for
+  /// every routed value. No-op without the plane.
+  void PollTimeline(bool force = false);
 
   /// Barrier, then aggregate matcher working-set bytes across shards.
   util::MemoryFootprint Footprint();
@@ -301,8 +307,7 @@ class ShardedMonitor {
     /// consecutive numbers (the router never stages across other pushes).
     uint64_t seq0 = 0;
     /// Stamp taken just before the router enqueues a span-sampled message
-    /// (0 otherwise); the worker's pop time minus this is the
-    /// ring_residency stage latency.
+    /// (0 otherwise): the span's router_enqueue stamp.
     uint64_t enqueue_nanos = 0;
     /// Span sampling: index into values[] of the sampled tick, or -1 when
     /// no tick in this message is sampled. The recv stamp was taken when
@@ -317,10 +322,6 @@ class ShardedMonitor {
   struct PendingMatch {
     uint64_t seq = 0;
     int64_t global_query_id = 0;
-    /// Profiler stamp taken when the worker buffered the match (0 without
-    /// the plane); delivery time minus this is the delivery_delay stage
-    /// latency.
-    uint64_t buffered_nanos = 0;
     core::Match match;
   };
 
@@ -393,16 +394,15 @@ class ShardedMonitor {
   /// Merges, orders, and dispatches all shards' buffered matches; updates
   /// per-query stats. Caller must hold the drain barrier.
   int64_t DeliverPending();
-  /// Router thread: refreshes ring metrics, then publishes the router
-  /// half of the plane. Requires the plane.
-  void PublishRouter(uint64_t now_nanos);
-  /// Router thread: brings the plane's ring metrics up to date.
-  void RefreshRingMetrics();
+  /// Router thread, workers quiescent: the plane's one publish point
+  /// (Telemetry::Publish), at most once per publish_interval_ms unless
+  /// `force`. No-op without the plane.
+  void Publish(bool force);
   /// Shared staleness verdict for HealthSnapshot/StatusSnapshot.
   obs::WorkerHealth WorkerHealthFor(int64_t worker, uint64_t now_nanos) const;
-  /// Router thread, post-barrier only (reads shard engines): refreshes the
-  /// per-query cost cache (QueryInfo::cells/est_cpu_nanos) and publishes a
-  /// ranked CostSnapshot for /queryz and /streamz. No-op without the plane.
+  /// Router thread, workers quiescent (reads shard engines): refreshes the
+  /// per-query cost cache (QueryInfo::cells/est_cpu_nanos). No-op without
+  /// the plane.
   void RefreshCostAccounting();
 
   ShardedMonitorOptions options_;

@@ -18,16 +18,6 @@ constexpr int64_t kTraceCapacity = 1024;
 constexpr int64_t kSpanRingCapacity = 256;
 constexpr int64_t kAlertTraceCapacity = 256;
 
-// Pipeline-profiler metric families (docs/OBSERVABILITY.md). Stage
-// latencies share one histogram family distinguished by the `stage` label;
-// ring metrics carry a `worker` label.
-constexpr char kMetricStageLatency[] = "spring_stage_latency_nanos";
-constexpr char kStageLatencyHelp[] =
-    "Pipeline stage latency in nanoseconds, by stage: router_enqueue "
-    "(queue push on the router), ring_residency (enqueue to worker pop), "
-    "worker_pass (engine batch ingest), delivery_delay (match buffered to "
-    "barrier delivery).";
-
 // End-to-end span stage histograms: one family, `stage`-labelled, fed by
 // sampled tick spans (docs/OBSERVABILITY.md).
 constexpr char kMetricE2eLatency[] = "spring_e2e_latency_nanos";
@@ -46,29 +36,7 @@ uint64_t NowNanos() {
 }  // namespace
 
 ShardTelemetry::ShardTelemetry()
-    : obs(obs::ObservabilityOptions{.trace_capacity = kTraceCapacity}),
-      ring_residency(obs.registry().GetHistogram(
-          kMetricStageLatency, kStageLatencyHelp,
-          {{"stage", "ring_residency"}})),
-      worker_pass(obs.registry().GetHistogram(
-          kMetricStageLatency, kStageLatencyHelp,
-          {{"stage", "worker_pass"}})) {}
-
-void ShardTelemetry::Publish(MonitorEngine& engine, uint64_t now_nanos) {
-  engine.RefreshObservabilityGauges();
-  obs::MetricsSnapshot snapshot = obs.registry().Snapshot();
-  std::vector<obs::TraceEvent> events = obs.trace().Events();
-  // order: relaxed — introspection gauge; the server tolerates staleness.
-  pending_candidates.store(engine.PendingCandidateCount(),
-                           std::memory_order_relaxed);
-  {
-    util::MutexLock lock(&mu);
-    metrics = std::move(snapshot);
-    traces = std::move(events);
-    trace_dropped = obs.trace().dropped();
-  }
-  last_publish_nanos = now_nanos;
-}
+    : obs(obs::ObservabilityOptions{.trace_capacity = kTraceCapacity}) {}
 
 Telemetry::Telemetry(int64_t num_workers, size_t ring_capacity,
                      double publish_interval_ms,
@@ -80,26 +48,17 @@ Telemetry::Telemetry(int64_t num_workers, size_t ring_capacity,
   for (int64_t w = 0; w < num_workers; ++w) {
     shards_.push_back(std::make_unique<ShardTelemetry>());
   }
-  const auto stage = [this](const char* family, const char* help,
-                            const char* name) {
-    return router_registry_.GetHistogram(family, help, {{"stage", name}});
+  const auto stage = [this](const char* name) {
+    return router_registry_.GetHistogram(kMetricE2eLatency, kE2eLatencyHelp,
+                                         {{"stage", name}});
   };
-  router_enqueue_ =
-      stage(kMetricStageLatency, kStageLatencyHelp, "router_enqueue");
-  delivery_delay_ =
-      stage(kMetricStageLatency, kStageLatencyHelp, "delivery_delay");
-  e2e_client_to_server_ =
-      stage(kMetricE2eLatency, kE2eLatencyHelp, "client_to_server");
-  e2e_ingest_to_enqueue_ =
-      stage(kMetricE2eLatency, kE2eLatencyHelp, "ingest_to_enqueue");
-  e2e_ring_residency_ =
-      stage(kMetricE2eLatency, kE2eLatencyHelp, "ring_residency");
-  e2e_worker_pass_ = stage(kMetricE2eLatency, kE2eLatencyHelp, "worker_pass");
-  e2e_delivery_wait_ =
-      stage(kMetricE2eLatency, kE2eLatencyHelp, "delivery_wait");
-  e2e_subscriber_write_ =
-      stage(kMetricE2eLatency, kE2eLatencyHelp, "subscriber_write");
-  e2e_total_ = stage(kMetricE2eLatency, kE2eLatencyHelp, "total");
+  e2e_client_to_server_ = stage("client_to_server");
+  e2e_ingest_to_enqueue_ = stage("ingest_to_enqueue");
+  e2e_ring_residency_ = stage("ring_residency");
+  e2e_worker_pass_ = stage("worker_pass");
+  e2e_delivery_wait_ = stage("delivery_wait");
+  e2e_subscriber_write_ = stage("subscriber_write");
+  e2e_total_ = stage("total");
   rings_.resize(shards_.size());
   for (size_t w = 0; w < rings_.size(); ++w) {
     const obs::Labels labels = {
@@ -132,7 +91,7 @@ Telemetry::Telemetry(int64_t num_workers, size_t ring_capacity,
   if (timeline_enabled_) {
     // Construction is single-threaded; the lock only satisfies the thread-
     // safety analysis (readers appear once the server starts).
-    util::MutexLock lock(&timeline_mu_);
+    util::MutexLock lock(&publish_mu_);
     timeline_ = std::make_unique<obs::MetricsTimeline>();
     alerts_ = std::make_unique<obs::AlertEngine>(std::move(alert_rules));
     alert_trace_ = obs::TraceRing(kAlertTraceCapacity);
@@ -170,41 +129,47 @@ void Telemetry::StopServer() {
   if (server_ != nullptr) server_->Stop();
 }
 
-void Telemetry::PublishRouter(uint64_t now_nanos) {
-  obs::MetricsSnapshot snapshot = router_registry_.Snapshot();
-  {
-    util::MutexLock lock(&publish_mu_);
-    router_metrics_ = std::move(snapshot);
-    spans_.spans = span_ring_.Spans();
-    spans_.dropped = span_ring_.dropped();
+void Telemetry::Publish(uint64_t now_nanos,
+                        std::span<MonitorEngine* const> engines,
+                        CostSnapshot costs) {
+  last_publish_nanos_ = now_nanos;
+  std::vector<obs::MetricsSnapshot> snapshots;
+  snapshots.reserve(shards_.size() + 2);
+  snapshots.push_back(router_registry_.Snapshot());
+  obs::TracezReport traces;
+  for (size_t w = 0; w < shards_.size(); ++w) {
+    MonitorEngine& engine = *engines[w];
+    ShardTelemetry& shard = *shards_[w];
+    engine.RefreshObservabilityGauges();
+    snapshots.push_back(shard.obs.registry().Snapshot());
+    const std::vector<obs::TraceEvent> events = shard.obs.trace().Events();
+    traces.events.insert(traces.events.end(), events.begin(), events.end());
+    traces.dropped += shard.obs.trace().dropped();
+    // order: relaxed — introspection gauge; the server tolerates staleness.
+    shard.pending_candidates.store(engine.PendingCandidateCount(),
+                                   std::memory_order_relaxed);
   }
-  last_router_publish_nanos_ = now_nanos;
-  // The aux families, timeline recording and alert evaluation ride the
-  // same cadence, throttled in Poll so barrier-heavy callers don't re-fold
-  // the fleet snapshot on every Drain.
-  Poll(/*force=*/false);
-}
-
-void Telemetry::Poll(bool force) {
-  const uint64_t now = NowNanos();
-  if (!force && last_poll_nanos_ != 0 &&
-      now - last_poll_nanos_ < publish_interval_nanos_) {
-    return;
-  }
-  last_poll_nanos_ = now;
-  if (aux_provider_ != nullptr) {
-    obs::MetricsSnapshot aux = aux_provider_();
-    util::MutexLock lock(&publish_mu_);
-    aux_metrics_ = std::move(aux);
-  }
-  if (!timeline_enabled_) return;
-  const obs::MetricsSnapshot merged = PublishedMetricsSnapshot();
+  if (aux_provider_ != nullptr) aux_metrics_ = aux_provider_();
+  snapshots.push_back(aux_metrics_);
+  obs::MetricsSnapshot merged = obs::MergeSnapshots(snapshots);
+  RankByCost(&costs);
+  obs::SpanzReport spans{span_ring_.Spans(), span_ring_.dropped()};
   bool page = false;
   {
-    util::MutexLock lock(&timeline_mu_);
-    timeline_->Record(now, merged);
-    alerts_->Evaluate(now, merged, *timeline_, &alert_trace_);
-    page = alerts_->AnyFiringPage();
+    util::MutexLock lock(&publish_mu_);
+    if (timeline_ != nullptr) {
+      timeline_->Record(now_nanos, merged);
+      alerts_->Evaluate(now_nanos, merged, *timeline_, &alert_trace_);
+      page = alerts_->AnyFiringPage();
+      // Alert transitions join the match-lifecycle events on /tracez.
+      const std::vector<obs::TraceEvent> events = alert_trace_.Events();
+      traces.events.insert(traces.events.end(), events.begin(), events.end());
+      traces.dropped += alert_trace_.dropped();
+    }
+    metrics_ = std::move(merged);
+    traces_ = std::move(traces);
+    spans_ = std::move(spans);
+    costs_ = std::move(costs);
   }
   // order: relaxed — see alert_page_firing().
   alert_page_firing_.store(page, std::memory_order_relaxed);
@@ -259,45 +224,14 @@ void Telemetry::ObserveSpan(const obs::TickSpan& span) {
   observe(e2e_total_, origin, finish);
 }
 
-void Telemetry::PublishCosts(CostSnapshot snapshot) {
-  RankByCost(&snapshot);
-  util::MutexLock lock(&publish_mu_);
-  costs_ = std::move(snapshot);
-}
-
 obs::MetricsSnapshot Telemetry::PublishedMetricsSnapshot() const {
-  std::vector<obs::MetricsSnapshot> snapshots;
-  snapshots.reserve(shards_.size() + 2);
-  {
-    util::MutexLock lock(&publish_mu_);
-    snapshots.push_back(router_metrics_);
-  }
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    snapshots.push_back(shard->metrics);
-  }
-  {
-    util::MutexLock lock(&publish_mu_);
-    snapshots.push_back(aux_metrics_);
-  }
-  return obs::MergeSnapshots(snapshots);
+  util::MutexLock lock(&publish_mu_);
+  return metrics_;
 }
 
 obs::TracezReport Telemetry::PublishedTraces() const {
-  obs::TracezReport report;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    report.events.insert(report.events.end(), shard->traces.begin(),
-                         shard->traces.end());
-    report.dropped += shard->trace_dropped;
-  }
-  // Alert transitions live in a router-side ring; splice them in so
-  // /tracez shows rule state changes alongside match-lifecycle events.
-  util::MutexLock lock(&timeline_mu_);
-  const std::vector<obs::TraceEvent> events = alert_trace_.Events();
-  report.events.insert(report.events.end(), events.begin(), events.end());
-  report.dropped += alert_trace_.dropped();
-  return report;
+  util::MutexLock lock(&publish_mu_);
+  return traces_;
 }
 
 obs::SpanzReport Telemetry::PublishedSpans() const {
@@ -316,7 +250,7 @@ std::string Telemetry::StreamzJson() const {
 }
 
 std::string Telemetry::TimezJson(const std::string& query) const {
-  util::MutexLock lock(&timeline_mu_);
+  util::MutexLock lock(&publish_mu_);
   if (timeline_ == nullptr) {
     return "{\"tiers\":[],\"records\":0,\"dropped_channels\":0,"
            "\"channels\":[]}";
@@ -325,7 +259,7 @@ std::string Telemetry::TimezJson(const std::string& query) const {
 }
 
 std::string Telemetry::AlertzJson() const {
-  util::MutexLock lock(&timeline_mu_);
+  util::MutexLock lock(&publish_mu_);
   if (alerts_ == nullptr) {
     return "{\"rules\":[],\"firing\":0,\"firing_page\":0}";
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,22 +26,15 @@ namespace springdtw {
 namespace monitor {
 
 /// Worker half of the telemetry plane: the shard engine's observability
-/// bundle, the worker's stage handles and watchdog stamps, and the shard's
-/// published slot. The worker thread writes the bundle, the stamps and
-/// `pending_spans`; any thread reads the atomics and the slot; the router
-/// reads `pending_spans` only after a drain barrier.
+/// bundle, the sampled spans awaiting delivery and the watchdog atomics.
+/// The worker thread writes the bundle, `pending_spans` and the stamps;
+/// the router reads the bundle and `pending_spans` only while the workers
+/// are quiescent (Telemetry::Publish, the barrier's span delivery); any
+/// thread reads the atomics.
 struct ShardTelemetry {
   ShardTelemetry();
 
-  /// Snapshots the bundle and its trace ring into the published slot. Runs
-  /// on the worker before the message's `consumed` release (or on the
-  /// router post-barrier), so after a barrier the router may mutate the
-  /// registry (AddQuery) while the worker is provably outside this call.
-  void Publish(MonitorEngine& engine, uint64_t now_nanos);
-
   obs::Observability obs;
-  obs::Histogram* const ring_residency;
-  obs::Histogram* const worker_pass;
   /// Sampled spans whose worker stages are complete, awaiting their
   /// barrier delivery stamp.
   std::vector<obs::TickSpan> pending_spans;
@@ -50,28 +44,22 @@ struct ShardTelemetry {
   std::atomic<int64_t> ticks_ingested{0};
   /// Pending-candidate count as of the last publish.
   std::atomic<int64_t> pending_candidates{0};
-  /// Publish throttle clock; worker thread only.
-  uint64_t last_publish_nanos = 0;
-
-  mutable util::Mutex mu;
-  obs::MetricsSnapshot metrics SPRINGDTW_GUARDED_BY(mu);
-  std::vector<obs::TraceEvent> traces SPRINGDTW_GUARDED_BY(mu);
-  int64_t trace_dropped SPRINGDTW_GUARDED_BY(mu) = 0;
 };
 
 /// ShardedMonitor's telemetry plane (docs/OBSERVABILITY.md). It exists iff
 /// ShardedMonitorOptions::collect_metrics is on, and then always runs all
 /// of it: per-shard bundles with 1024-event trace rings, watchdog stamps,
-/// published snapshots, 1-in-kSampleEvery tick spans and stage stamps,
-/// 1-in-kSampleEvery per-query cost sampling, and — when the monitor has a
-/// timeline or alert rules — the metrics timeline and alert engine.
+/// 1-in-kSampleEvery tick spans, 1-in-kSampleEvery per-query cost
+/// sampling, and — when the monitor has a timeline or alert rules — the
+/// metrics timeline and alert engine.
 ///
 /// Methods marked "router thread" belong to the monitor's single caller
-/// thread. Everything else is thread-safe and reads published copies only,
-/// so the introspection server never touches live pipeline state.
+/// thread; Publish is the only writer of the published state. Everything
+/// else is thread-safe and reads published copies only, so the
+/// introspection server never touches live pipeline state.
 class Telemetry {
  public:
-  /// Span, stage-stamp and per-query CPU cost sampling cadence.
+  /// Span and per-query CPU cost sampling cadence.
   static constexpr int64_t kSampleEvery = 64;
 
   /// `ring_capacity` is each worker ring's (spring_ring_capacity).
@@ -94,7 +82,6 @@ class Telemetry {
   int port() const { return server_ != nullptr ? server_->port() : -1; }
 
   ShardTelemetry& shard(size_t worker) { return *shards_[worker]; }
-  uint64_t publish_interval_nanos() const { return publish_interval_nanos_; }
   bool timeline_enabled() const { return timeline_enabled_; }
   /// Latest alert verdict: a page-severity rule is firing.
   bool alert_page_firing() const {
@@ -105,10 +92,12 @@ class Telemetry {
 
   /// ## Router thread
 
-  /// Router-registry stage histograms the monitor observes inline.
-  obs::Histogram* router_enqueue() { return router_enqueue_; }
-  obs::Histogram* delivery_delay() { return delivery_delay_; }
-
+  /// True before the first publish and once publish_interval has passed
+  /// since the last one.
+  bool PublishDue(uint64_t now_nanos) const {
+    return last_publish_nanos_ == 0 ||
+           now_nanos - last_publish_nanos_ >= publish_interval_nanos_;
+  }
   /// Brings worker `worker`'s ring gauges and contention counters up to
   /// date from its queue (counters export deltas of the queue's totals).
   template <typename Queue>
@@ -122,28 +111,19 @@ class Telemetry {
     ExportDelta(queue.consumer_parks(), ring.consumer_parks,
                 &ring.consumer_parks_exported);
   }
-  obs::MetricsSnapshot RouterSnapshot() const {
-    return router_registry_.Snapshot();
-  }
-
-  /// True once publish_interval has passed since the last router publish.
-  bool RouterPublishDue(uint64_t now_nanos) const {
-    return now_nanos - last_router_publish_nanos_ >= publish_interval_nanos_;
-  }
-  /// Publishes the router registry and span ring (call RefreshRing first),
-  /// then Poll().
-  void PublishRouter(uint64_t now_nanos);
-  /// The throttled publish (at most once per publish interval unless
-  /// `force`): snapshots the aux provider's families, then folds the
-  /// published fleet snapshot into the timeline and runs one alert pass.
-  /// Allocation-free without a provider and a timeline.
-  void Poll(bool force);
+  /// The plane's one publisher (call RefreshRing first). Requires quiescent
+  /// workers — every routed message consumed — because it reads the shard
+  /// bundles; `engines[w]` is worker w's engine. In one pass it snapshots
+  /// each shard's registry (gauges refreshed), trace ring and pending-
+  /// candidate count, the router registry and span ring, ranks `costs` and
+  /// pulls the aux families, then, under one mutex, publishes them all,
+  /// folds the fleet snapshot into the timeline and runs the alert pass.
+  void Publish(uint64_t now_nanos, std::span<MonitorEngine* const> engines,
+               CostSnapshot costs);
   /// Barrier delivery of the spans the workers completed: stamps
   /// delivered_nanos, runs the finalizer, observes spring_e2e_latency_nanos
   /// and records each into the /spanz ring, in seq order.
   void DeliverSpans();
-  /// Publishes the ranked cost snapshot behind /queryz and /streamz.
-  void PublishCosts(CostSnapshot snapshot);
 
   /// Hook run on every delivered span before it is recorded, so an
   /// embedding layer (the net server) can stamp its own final stage
@@ -153,17 +133,17 @@ class Telemetry {
     span_finalizer_ = std::move(finalizer);
   }
   /// Extra families (the net server's spring_net_* and spring_wal_*)
-  /// merged into PublishedMetricsSnapshot. The provider runs in Poll, on
-  /// the router thread, so it may read router-owned registries directly.
-  /// nullptr detaches; the last published copy stays.
+  /// merged into every publish. The provider runs in Publish, on the
+  /// router thread, so it may read router-owned registries directly.
+  /// nullptr detaches; later publishes keep its last families.
   void SetAuxMetricsProvider(std::function<obs::MetricsSnapshot()> provider) {
     aux_provider_ = std::move(provider);
   }
 
   /// ## Any thread
 
-  /// Fleet-merged metrics as of each worker's and the router's last
-  /// publish, plus the aux families.
+  /// Fleet-merged metrics (shards, router, aux families) as of the last
+  /// publish.
   obs::MetricsSnapshot PublishedMetricsSnapshot() const;
   /// Recent match-lifecycle and alert-transition events (/tracez).
   obs::TracezReport PublishedTraces() const;
@@ -204,8 +184,6 @@ class Telemetry {
 
   /// Router thread only; readers get the published copies below.
   obs::MetricsRegistry router_registry_;
-  obs::Histogram* router_enqueue_ = nullptr;
-  obs::Histogram* delivery_delay_ = nullptr;
   obs::Histogram* e2e_client_to_server_ = nullptr;
   obs::Histogram* e2e_ingest_to_enqueue_ = nullptr;
   obs::Histogram* e2e_ring_residency_ = nullptr;
@@ -218,21 +196,19 @@ class Telemetry {
   std::vector<obs::TickSpan> span_scratch_;
   SpanFinalizer span_finalizer_;
   std::function<obs::MetricsSnapshot()> aux_provider_;
-  uint64_t last_router_publish_nanos_ = 0;
-  uint64_t last_poll_nanos_ = 0;
+  obs::MetricsSnapshot aux_metrics_;
+  uint64_t last_publish_nanos_ = 0;
 
+  /// Written by Publish, read by the server thread.
   mutable util::Mutex publish_mu_;
-  obs::MetricsSnapshot router_metrics_ SPRINGDTW_GUARDED_BY(publish_mu_);
-  obs::MetricsSnapshot aux_metrics_ SPRINGDTW_GUARDED_BY(publish_mu_);
+  obs::MetricsSnapshot metrics_ SPRINGDTW_GUARDED_BY(publish_mu_);
+  obs::TracezReport traces_ SPRINGDTW_GUARDED_BY(publish_mu_);
   obs::SpanzReport spans_ SPRINGDTW_GUARDED_BY(publish_mu_);
   CostSnapshot costs_ SPRINGDTW_GUARDED_BY(publish_mu_);
-
-  /// Fed on the router thread by Poll, read by the server thread.
-  mutable util::Mutex timeline_mu_;
   std::unique_ptr<obs::MetricsTimeline> timeline_
-      SPRINGDTW_GUARDED_BY(timeline_mu_);
-  std::unique_ptr<obs::AlertEngine> alerts_ SPRINGDTW_GUARDED_BY(timeline_mu_);
-  obs::TraceRing alert_trace_ SPRINGDTW_GUARDED_BY(timeline_mu_);
+      SPRINGDTW_GUARDED_BY(publish_mu_);
+  std::unique_ptr<obs::AlertEngine> alerts_ SPRINGDTW_GUARDED_BY(publish_mu_);
+  obs::TraceRing alert_trace_ SPRINGDTW_GUARDED_BY(publish_mu_);
   std::atomic<bool> alert_page_firing_{false};
 
   std::unique_ptr<obs::IntrospectionServer> server_;

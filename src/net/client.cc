@@ -319,6 +319,20 @@ util::Status StreamClient::Flush() {
   if (send_buffer_.empty()) return util::Status::Ok();
   const util::Status status = WriteAll(send_buffer_);
   send_buffer_.clear();
+  if (!status.ok()) {
+    // The connection broke, but frames the server sent before it did may
+    // still sit in the socket: a server that dies holding unread input
+    // resets the connection, which fails this write first. Dispatch every
+    // MATCH_EVENT received until EOF or a read error, then report the
+    // write error.
+    Frame frame;
+    MatchEventPayload event;
+    while (ReadFrame(&frame).ok()) {
+      if (frame.type != FrameType::kMatchEvent) continue;
+      if (!DecodePayload(frame.payload, &event).ok()) break;
+      if (match_callback_) match_callback_(event);
+    }
+  }
   return status;
 }
 

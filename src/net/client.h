@@ -98,7 +98,8 @@ class StreamClient {
   /// Queues a run of ticks, split into frames under the frame cap.
   util::Status TickBatch(int64_t stream_id, std::span<const double> values);
 
-  /// Writes out any buffered ticks.
+  /// Writes out any buffered ticks. When the write fails, MATCH_EVENTs
+  /// the server sent before the connection broke are still dispatched.
   util::Status Flush();
 
   /// Barrier: all previously sent ticks applied server-side, and — when

@@ -533,48 +533,15 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
       TickPayload req;
       util::Status status = DecodePayload(frame.payload, &req);
       if (!status.ok()) return fatal_decode(status);
-      // Write-ahead: the tick is logged (and, under every_record, synced)
-      // before the monitor sees it, so anything that influences delivered
-      // output is replayable.
-      status = AppendWalTicks(req.stream_id,
-                              std::span<const double>(&req.value, 1));
-      if (!status.ok()) {
-        SendError(conn, 0, status, /*fatal=*/true);
-        return false;
-      }
-      status = monitor_->Push(req.stream_id, req.value, req.send_nanos);
-      if (!status.ok()) {
-        // Ticks are fire-and-forget; an undeliverable tick would silently
-        // desync the peer's view, so it ends the session.
-        SendError(conn, 0, status, /*fatal=*/true);
-        return false;
-      }
-      ++ticks_routed_;
-      if (!ticks_dirty_) oldest_tick_nanos_ = NowNanos();
-      ticks_dirty_ = true;
-      return true;
+      return RouteTicks(conn, req.stream_id,
+                        std::span<const double>(&req.value, 1),
+                        req.send_nanos);
     }
     case FrameType::kTickBatch: {
       TickBatchPayload req;
       util::Status status = DecodePayload(frame.payload, &req);
       if (!status.ok()) return fatal_decode(status);
-      status = AppendWalTicks(req.stream_id, req.values);
-      if (!status.ok()) {
-        SendError(conn, 0, status, /*fatal=*/true);
-        return false;
-      }
-      status = monitor_->PushBatch(req.stream_id, req.values,
-                                   req.send_nanos);
-      if (!status.ok()) {
-        SendError(conn, 0, status, /*fatal=*/true);
-        return false;
-      }
-      if (!req.values.empty()) {
-        ticks_routed_ += req.values.size();
-        if (!ticks_dirty_) oldest_tick_nanos_ = NowNanos();
-        ticks_dirty_ = true;
-      }
-      return true;
+      return RouteTicks(conn, req.stream_id, req.values, req.send_nanos);
     }
     case FrameType::kCheckpoint: {
       CheckpointPayload req;
@@ -636,20 +603,26 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
   return true;
 }
 
-void StreamServer::SendFrame(Connection* conn, FrameType type,
-                             std::span<const uint8_t> payload) {
-  if (conn->fd < 0 || conn->closing) return;
-  AppendFrame(type, payload, &conn->out);
-  if (conn->out.size() - conn->out_offset > options_.max_output_buffer_bytes) {
-    // Bounded queue, then disconnect: drop the backlog rather than stall
-    // ingest for everyone else.
-    slow_disconnects_counter_->Increment();
-    // order: relaxed — test/diagnostic counter; never synchronization.
-    slow_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    conn->out.clear();
-    conn->out_offset = 0;
-    conn->closing = true;
+bool StreamServer::RouteTicks(Connection* conn, int64_t stream_id,
+                              std::span<const double> values,
+                              uint64_t send_nanos) {
+  // Write-ahead: the ticks are logged (and, under every_record, synced)
+  // before the monitor sees them, so anything that influences delivered
+  // output is replayable.
+  util::Status status = AppendWalTicks(stream_id, values);
+  if (status.ok()) status = monitor_->PushBatch(stream_id, values, send_nanos);
+  if (!status.ok()) {
+    // Ticks are fire-and-forget; an undeliverable tick would silently
+    // desync the peer's view, so it ends the session.
+    SendError(conn, 0, status, /*fatal=*/true);
+    return false;
   }
+  if (!values.empty()) {
+    ticks_routed_ += values.size();
+    if (!ticks_dirty_) oldest_tick_nanos_ = NowNanos();
+    ticks_dirty_ = true;
+  }
+  return true;
 }
 
 void StreamServer::SendError(Connection* conn, uint64_t request_id,
@@ -687,10 +660,12 @@ void StreamServer::OnMatch(const monitor::MatchOrigin& origin,
 
 void StreamServer::AppendEncoded(Connection* conn,
                                  std::span<const uint8_t> frame) {
-  if (conn->fd < 0 || !conn->subscribed || conn->closing) return;
+  if (conn->fd < 0 || conn->closing) return;
   conn->out.insert(conn->out.end(), frame.begin(), frame.end());
   if (conn->out.size() - conn->out_offset >
       options_.max_output_buffer_bytes) {
+    // Bounded queue, then disconnect: drop the backlog rather than stall
+    // ingest for everyone else.
     slow_disconnects_counter_->Increment();
     // order: relaxed — test/diagnostic counter; never synchronization.
     slow_disconnects_.fetch_add(1, std::memory_order_relaxed);

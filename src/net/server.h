@@ -190,13 +190,11 @@ class StreamServer {
   /// Dispatches one decoded frame; returns false on session-fatal errors
   /// (an ERROR frame has been queued and `closing` set).
   bool HandleFrame(Connection* conn, const Frame& frame);
-  void SendFrame(Connection* conn, FrameType type,
-                 std::span<const uint8_t> payload);
   template <typename Payload>
   void Send(Connection* conn, FrameType type, const Payload& payload) {
-    util::ByteWriter writer;
-    payload.EncodeTo(&writer);
-    SendFrame(conn, type, writer.buffer());
+    std::vector<uint8_t> frame;
+    AppendPayloadFrame(type, payload, &frame);
+    AppendEncoded(conn, frame);
   }
   /// Queues an ERROR frame; request_id 0 + closing for session-fatal.
   void SendError(Connection* conn, uint64_t request_id,
@@ -206,14 +204,18 @@ class StreamServer {
   void DrainIfDirty();
   /// Sink callback: fans one match out to all subscribers.
   void OnMatch(const monitor::MatchOrigin& origin, const core::Match& match);
-  /// Appends one fully framed byte run to `conn`, enforcing the
-  /// slow-subscriber cap.
+  /// Appends one fully framed byte run to `conn`'s output, enforcing the
+  /// slow-subscriber cap. Every outgoing frame goes through here.
   void AppendEncoded(Connection* conn, std::span<const uint8_t> frame);
   /// Encodes one MATCH_EVENT and appends it to every subscribed
   /// connection, or to `only` alone (recovery-buffer fan-out). Encodes the
   /// v3 trailer only for v3 peers.
   void FanOutMatch(const monitor::MatchOrigin& origin,
                    const core::Match& match, Connection* only);
+  /// TICK (a run of one) and TICK_BATCH: WAL append, monitor push, dirty
+  /// stamp. Returns false, with a fatal ERROR queued, when either fails.
+  bool RouteTicks(Connection* conn, int64_t stream_id,
+                  std::span<const double> values, uint64_t send_nanos);
   /// Logs ticks accepted for `stream_id` before they enter the monitor.
   util::Status AppendWalTicks(int64_t stream_id,
                               std::span<const double> values);

@@ -376,7 +376,7 @@ TEST(MonitorConcurrencyTest, IntrospectionSnapshotsRaceFreeWhileIngesting) {
   options.num_workers = 4;
   options.queue_capacity = 8;
   options.collect_metrics = true;
-  options.publish_interval_ms = 0.0;  // republish on every message
+  options.publish_interval_ms = 0.0;  // publish at every barrier
   options.staleness_budget_ms = 60000.0;  // never flips during the test
   ShardedMonitor monitor(options);
   CollectSink sink;
@@ -516,7 +516,7 @@ TEST(MonitorConcurrencyTest, TimelineAndAlertScrapesRaceFreeWhileIngesting) {
   // evaluation on every Drain (publish_interval_ms = 0 defeats the poll
   // throttle), while a scraper thread hammers /timez and /alertz render
   // paths plus the health verdict. Timeline and engine live behind the
-  // plane's timeline mutex and the page verdict rides an atomic — any
+  // plane's publish mutex and the page verdict rides an atomic — any
   // race TSan finds is a protocol bug.
   constexpr int kStreams = 4;
   constexpr int64_t kTicks = 1500;

@@ -133,7 +133,7 @@ TEST(MonitorIntrospectTest, CollectMetricsAloneRunsTheWholePlane) {
   const obs::MetricsSnapshot published =
       monitor.telemetry()->PublishedMetricsSnapshot();
   EXPECT_NE(published.Find("spring_ticks_total"), nullptr);
-  EXPECT_NE(published.Find("spring_stage_latency_nanos"), nullptr);
+  EXPECT_NE(published.Find("spring_e2e_latency_nanos"), nullptr);
   const obs::HealthReport health = monitor.HealthSnapshot();
   EXPECT_EQ(health.state, "ok");
   EXPECT_EQ(health.workers.size(), 2u);
@@ -222,7 +222,7 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
   ShardedMonitorOptions options;
   options.num_workers = 2;
   options.collect_metrics = true;
-  options.publish_interval_ms = 0.0;  // republish on every message
+  options.publish_interval_ms = 0.0;  // publish at every barrier
   ShardedMonitor monitor(options);
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -248,25 +248,24 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
   const obs::MetricsSnapshot published =
       monitor.telemetry()->PublishedMetricsSnapshot();
   const obs::FamilySnapshot* stage =
-      published.Find("spring_stage_latency_nanos");
+      published.Find("spring_e2e_latency_nanos");
   ASSERT_NE(stage, nullptr);
-  // All four pipeline stages must have observations: router_enqueue and
-  // delivery_delay from the router registry, ring_residency and
-  // worker_pass from the workers.
-  bool saw[4] = {false, false, false, false};
-  const char* kStages[4] = {"router_enqueue", "ring_residency",
-                            "worker_pass", "delivery_delay"};
+  // Every in-process span stage must have observations (client_to_server
+  // and subscriber_write need the net server's stamps).
+  bool saw[5] = {false, false, false, false, false};
+  const char* kStages[5] = {"ingest_to_enqueue", "ring_residency",
+                            "worker_pass", "delivery_wait", "total"};
   for (const auto& series : stage->series) {
     for (const auto& label : series.labels) {
       if (label.key != "stage") continue;
-      for (int s = 0; s < 4; ++s) {
+      for (int s = 0; s < 5; ++s) {
         if (label.value == kStages[s] && series.histogram.count() > 0) {
           saw[s] = true;
         }
       }
     }
   }
-  for (int s = 0; s < 4; ++s) {
+  for (int s = 0; s < 5; ++s) {
     EXPECT_TRUE(saw[s]) << "no observations for stage " << kStages[s];
   }
 
@@ -281,7 +280,7 @@ TEST(MonitorIntrospectTest, PublishedMetricsCarryStageAndRingFamilies) {
 
   // The merged live snapshot carries the same families.
   const obs::MetricsSnapshot merged = monitor.MergedMetricsSnapshot();
-  EXPECT_NE(merged.Find("spring_stage_latency_nanos"), nullptr);
+  EXPECT_NE(merged.Find("spring_e2e_latency_nanos"), nullptr);
   EXPECT_NE(merged.Find("spring_ring_occupancy"), nullptr);
 
   // Matches flowed, so /tracez has events and /statusz counts them.
@@ -343,7 +342,7 @@ TEST(MonitorIntrospectTest, HealthzEndpointFlipsTo503WhenFeedDies) {
 
   // /metrics scrapes work over the same server.
   const std::string metrics = HttpGet(port, "/metrics");
-  EXPECT_NE(metrics.find("spring_stage_latency_nanos"), std::string::npos);
+  EXPECT_NE(metrics.find("spring_e2e_latency_nanos"), std::string::npos);
   EXPECT_NE(metrics.find("spring_ring_occupancy"), std::string::npos);
 
   monitor.Stop();
@@ -518,11 +517,14 @@ TEST(MonitorIntrospectTest, TimezAlertzEndpointsServeJsonAndGateHealthz) {
 
 TEST(MonitorIntrospectTest, DisabledTimelineIsZeroCostAndServesEmptyDocs) {
   // Timeline + alerting off (the default, even with telemetry on): the
-  // publish-cadence hook must be an allocation-free no-op and the
-  // endpoints must degrade to empty documents rather than 404.
+  // publish-cadence hook must be allocation-free between publishes, and
+  // the endpoints must degrade to empty documents rather than 404. A
+  // forced poll is the plane's full publish, so it snapshots (and
+  // allocates) with or without a timeline.
   ShardedMonitorOptions options;
   options.num_workers = 2;
   options.collect_metrics = true;
+  options.publish_interval_ms = 60000.0;  // no publish falls due in-test
   ShardedMonitor monitor(options);
   EXPECT_FALSE(monitor.telemetry()->timeline_enabled());
   CollectSink sink;
@@ -535,10 +537,11 @@ TEST(MonitorIntrospectTest, DisabledTimelineIsZeroCostAndServesEmptyDocs) {
   for (int64_t t = 0; t < 512; ++t) {
     ASSERT_TRUE(monitor.Push(stream_id, 9.0).ok());
   }
-  monitor.Drain();
+  monitor.Drain();  // the first publish
+  monitor.PollTimeline(/*force=*/true);
   {
     util::ScopedAllocationCheck check;
-    monitor.PollTimeline(/*force=*/true);
+    monitor.PollTimeline();
     EXPECT_EQ(check.Allocations(), 0);
     EXPECT_EQ(check.Bytes(), 0);
   }
@@ -547,6 +550,56 @@ TEST(MonitorIntrospectTest, DisabledTimelineIsZeroCostAndServesEmptyDocs) {
             "\"channels\":[]}");
   EXPECT_EQ(monitor.telemetry()->AlertzJson(),
             "{\"rules\":[],\"firing\":0,\"firing_page\":0}");
+  monitor.Stop();
+}
+
+// One publisher: the router publishes shard state only at quiescence, so
+// after a barrier a forced poll is exact to the last routed tick even at
+// the default publish interval, where no throttled publish falls due
+// between bursts.
+TEST(MonitorIntrospectTest, ForcedPollPublishesEveryRoutedTick) {
+  ShardedMonitorOptions options;
+  options.num_workers = 2;
+  options.collect_metrics = true;
+  ShardedMonitor monitor(options);
+  CollectSink sink;
+  monitor.AddSink(&sink);
+  std::vector<int64_t> stream_ids;
+  for (int i = 0; i < 4; ++i) {
+    stream_ids.push_back(monitor.AddStream("s" + std::to_string(i)));
+    ASSERT_TRUE(monitor
+                    .AddQuery(stream_ids.back(), "q", {1.0, 2.0, 3.0},
+                              NonMatchingOptions())
+                    .ok());
+  }
+  monitor.Start();
+  const auto total = [](const obs::MetricsSnapshot& snapshot,
+                        const char* family) {
+    const obs::FamilySnapshot* found = snapshot.Find(family);
+    int64_t sum = 0;
+    if (found != nullptr) {
+      for (const auto& series : found->series) sum += series.counter_value;
+    }
+    return sum;
+  };
+  int64_t pushed = 0;
+  for (int burst = 0; burst < 2; ++burst) {
+    for (int64_t t = 0; t < 300; ++t) {
+      for (const int64_t id : stream_ids) {
+        ASSERT_TRUE(monitor.Push(id, 9.0).ok());
+        ++pushed;
+      }
+    }
+    monitor.Drain();
+    monitor.PollTimeline(/*force=*/true);
+    const obs::MetricsSnapshot published =
+        monitor.telemetry()->PublishedMetricsSnapshot();
+    // One query per stream: query-ticks equal values pushed.
+    EXPECT_EQ(total(published, "spring_ticks_total"), pushed)
+        << "burst " << burst;
+    EXPECT_EQ(total(published, "spring_pushes_total"), pushed)
+        << "burst " << burst;
+  }
   monitor.Stop();
 }
 

@@ -6,6 +6,7 @@
 // disconnected instead of stalling ingest, and the whole stack holds up
 // under concurrent clients (tsan target).
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -573,6 +574,83 @@ std::vector<Frame> ReadFrames(int fd, size_t count) {
     buffer.insert(buffer.end(), chunk, chunk + n);
   }
   return frames;
+}
+
+// A daemon killed while holding unread TICK bytes resets the connection,
+// so the client's next write fails before it has read what the daemon sent
+// first. MATCH_EVENT frames already in the socket must still reach the
+// callback, and the call still reports the write error.
+TEST(NetClientTest, FailedWriteStillDispatchesReceivedMatches) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t length = sizeof(address);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof(address)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&address),
+                          &length),
+            0);
+
+  const auto send_all = [](int fd, const std::vector<uint8_t>& wire) {
+    size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  };
+  std::thread server([listen_fd, &send_all] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    if (ReadFrames(fd, 1).size() == 1) {
+      std::vector<uint8_t> wire;
+      HelloAckPayload ack;
+      ack.version = kProtocolVersion;
+      AppendPayloadFrame(FrameType::kHelloAck, ack, &wire);
+      send_all(fd, wire);
+      // Wait for the client's ticks and leave them unread, so the close
+      // below resets the connection; the match goes out first.
+      pollfd entry{fd, POLLIN, 0};
+      (void)::poll(&entry, 1, 5000);
+      MatchEventPayload event;
+      event.stream_name = "s";
+      event.query_name = "q";
+      event.match.start = 1;
+      event.match.end = 3;
+      event.match.report_time = 4;
+      event.match_seq = 4;
+      wire.clear();
+      AppendPayloadFrame(FrameType::kMatchEvent, event, &wire);
+      send_all(fd, wire);
+    }
+    ::close(fd);
+  });
+
+  StreamClientOptions options;
+  options.port = ntohs(address.sin_port);
+  options.connect_attempts = 1;
+  StreamClient client(options);
+  std::vector<MatchEventPayload> events;
+  client.SetMatchCallback(
+      [&events](const MatchEventPayload& event) { events.push_back(event); });
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.TickBatch(0, std::vector<double>{1.0, 2.0, 3.0}).ok());
+  ASSERT_TRUE(client.Flush().ok());
+  server.join();
+  ::close(listen_fd);
+
+  const auto drained = client.Drain();
+  EXPECT_FALSE(drained.ok()) << "the connection was reset";
+  ASSERT_EQ(events.size(), 1u) << drained.status().ToString();
+  EXPECT_EQ(events[0].query_name, "q");
+  EXPECT_EQ(events[0].match_seq, 4);
 }
 
 // A v1 peer (no trailers anywhere) must get a v1 ack and a fully v1

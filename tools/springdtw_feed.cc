@@ -144,23 +144,48 @@ int ReplayWal(const std::string& dir, bool dump) {
 }
 
 int Run(int argc, char** argv) {
+  // Every accepted flag is read here, before anything connects, so a typo
+  // or a retired flag fails loudly instead of being ignored.
   util::FlagParser flags(argc, argv);
   const std::string replay_wal = flags.GetString("replay_wal", "");
-  if (!replay_wal.empty()) {
-    return ReplayWal(replay_wal, flags.GetBool("dump", false));
-  }
+  const bool dump = flags.GetBool("dump", false);
   const std::string stream_path = flags.GetString("stream", "");
+  const std::string stream_name = flags.GetString("stream_name", "stream");
+  const std::string query_path = flags.GetString("query", "");
+  const std::string query_name = flags.GetString("query_name", "query");
+  core::SpringOptions options;
+  options.epsilon = flags.GetDouble("epsilon", 0.0);
+  options.local_distance =
+      flags.GetString("distance", "squared") == "absolute"
+          ? dtw::LocalDistance::kAbsolute
+          : dtw::LocalDistance::kSquared;
+  options.max_match_length = flags.GetInt64("max_length", 0);
+  options.min_match_length = flags.GetInt64("min_length", 0);
+  net::StreamClientOptions client_options;
+  client_options.host = flags.GetString("host", "127.0.0.1");
+  client_options.port = static_cast<int>(flags.GetInt64("port", 0));
+  client_options.peer_name = "springdtw_feed";
+  const bool subscribe = flags.GetBool("subscribe", false);
+  const double rate = flags.GetDouble("rate", 0.0);
+  const int64_t batch = std::max<int64_t>(1, flags.GetInt64("batch", 256));
+  const bool resume = flags.GetBool("resume", false);
+  const bool checkpoint = flags.GetBool("checkpoint", false);
+  const bool remove_query = flags.GetBool("remove_query", false);
+  const bool want_stats = flags.GetBool("stats", false);
+  const bool list = flags.GetBool("list", false) || want_stats;
+  const std::vector<std::string> flag_errors = flags.Errors();
+  for (const std::string& error : flag_errors) {
+    std::fprintf(stderr, "springdtw_feed: %s\n", error.c_str());
+  }
+  if (!flag_errors.empty()) return 2;
+
+  if (!replay_wal.empty()) return ReplayWal(replay_wal, dump);
   if (stream_path.empty()) {
     std::fprintf(stderr, "--stream is required\n");
     return 1;
   }
   auto series = LoadSeries(stream_path);
   if (!series.ok()) return Fail("load stream", series.status());
-
-  net::StreamClientOptions client_options;
-  client_options.host = flags.GetString("host", "127.0.0.1");
-  client_options.port = static_cast<int>(flags.GetInt64("port", 0));
-  client_options.peer_name = "springdtw_feed";
   net::StreamClient client(client_options);
 
   int64_t matches = 0;
@@ -172,41 +197,28 @@ int Run(int argc, char** argv) {
   util::Status status = client.Connect();
   if (!status.ok()) return Fail("connect", status);
 
-  const std::string stream_name = flags.GetString("stream_name", "stream");
   auto stream_id = client.OpenStream(stream_name);
   if (!stream_id.ok()) return Fail("open stream", stream_id.status());
 
-  const std::string query_path = flags.GetString("query", "");
   int64_t query_id = -1;
   if (!query_path.empty()) {
     auto query = LoadSeries(query_path);
     if (!query.ok()) return Fail("load query", query.status());
-    core::SpringOptions options;
-    options.epsilon = flags.GetDouble("epsilon", 0.0);
-    options.local_distance =
-        flags.GetString("distance", "squared") == "absolute"
-            ? dtw::LocalDistance::kAbsolute
-            : dtw::LocalDistance::kSquared;
-    options.max_match_length = flags.GetInt64("max_length", 0);
-    options.min_match_length = flags.GetInt64("min_length", 0);
-    auto added = client.AddQuery(*stream_id,
-                                 flags.GetString("query_name", "query"),
-                                 query->values(), options);
+    auto added =
+        client.AddQuery(*stream_id, query_name, query->values(), options);
     if (!added.ok()) return Fail("add query", added.status());
     query_id = *added;
   }
 
-  if (flags.GetBool("subscribe", false)) {
+  if (subscribe) {
     status = client.SubscribeMatches();
     if (!status.ok()) return Fail("subscribe", status);
   }
 
-  const double rate = flags.GetDouble("rate", 0.0);
-  const int64_t batch = std::max<int64_t>(1, flags.GetInt64("batch", 256));
   const std::vector<double>& values = series->values();
   const int64_t start_nanos = util::Stopwatch::NowNanos();
   int64_t sent = 0;
-  if (flags.GetBool("resume", false)) {
+  if (resume) {
     // The server already holds this many ticks of the stream (v3
     // STREAM_OPENED trailer): skip that prefix so the combined ingest is
     // the series exactly once.
@@ -244,14 +256,14 @@ int Run(int argc, char** argv) {
   auto drained = client.Drain();
   if (!drained.ok()) return Fail("drain", drained.status());
 
-  if (flags.GetBool("checkpoint", false)) {
+  if (checkpoint) {
     auto bytes = client.Checkpoint();
     if (!bytes.ok()) return Fail("checkpoint", bytes.status());
     std::printf("CHECKPOINT_BYTES=%llu\n",
                 static_cast<unsigned long long>(*bytes));
   }
 
-  if (flags.GetBool("remove_query", false) && query_id >= 0) {
+  if (remove_query && query_id >= 0) {
     auto flushed = client.RemoveQuery(query_id);
     if (!flushed.ok()) return Fail("remove query", flushed.status());
     std::printf("REMOVED query=%lld flushed=%lld\n",
@@ -259,8 +271,7 @@ int Run(int argc, char** argv) {
                 static_cast<long long>(*flushed));
   }
 
-  const bool want_stats = flags.GetBool("stats", false);
-  if (flags.GetBool("list", false) || want_stats) {
+  if (list) {
     auto entries = client.ListQueries(want_stats);
     if (!entries.ok()) return Fail("list queries", entries.status());
     for (const auto& entry : *entries) {

@@ -254,9 +254,40 @@ int RunSharded(const ts::Series& stream, const ts::Series& query,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every accepted flag is read here, before any work, so a typo or a
+  // retired flag fails loudly instead of silently picking another path.
   util::FlagParser flags(argc, argv);
   const std::string stream_path = flags.GetString("stream", "");
   const std::string query_path = flags.GetString("query", "");
+  const double epsilon = flags.GetDouble("epsilon", -1.0);
+  const dtw::LocalDistance distance =
+      flags.GetString("distance", "squared") == "absolute"
+          ? dtw::LocalDistance::kAbsolute
+          : dtw::LocalDistance::kSquared;
+  core::SpringOptions options;
+  options.epsilon = epsilon;
+  options.local_distance = distance;
+  options.max_match_length = flags.GetInt64("max_length", 0);
+  options.min_match_length = flags.GetInt64("min_length", 0);
+  const int64_t topk = flags.GetInt64("topk", 0);
+  const bool paths = flags.GetBool("paths", false);
+  int64_t threads = flags.GetInt64("threads", 0);
+  const int64_t batch = flags.GetInt64("batch", 0);
+  const std::string metrics_format = flags.GetString("metrics", "");
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  const std::string trace_out = flags.GetString("trace_out", "");
+  const int64_t trace_capacity = flags.GetInt64("trace_capacity", 4096);
+  const int64_t report_every = flags.GetInt64("report_every", 0);
+  IntrospectOptions introspect;
+  introspect.port = flags.GetInt64("introspect_port", -1);
+  introspect.linger_ms = flags.GetInt64("introspect_linger_ms", 0);
+  introspect.staleness_ms = flags.GetDouble("introspect_staleness_ms", 1000.0);
+  introspect.publish_ms = flags.GetDouble("introspect_publish_ms", 50.0);
+  const std::vector<std::string> flag_errors = flags.Errors();
+  for (const std::string& error : flag_errors) {
+    std::fprintf(stderr, "springdtw_match: %s\n", error.c_str());
+  }
+  if (!flag_errors.empty()) return 2;
   if (stream_path.empty() || query_path.empty()) {
     std::fprintf(stderr,
                  "usage: %s --stream=FILE --query=FILE --epsilon=E "
@@ -290,22 +321,8 @@ int main(int argc, char** argv) {
                  static_cast<long long>(missing));
   }
 
-  const dtw::LocalDistance distance =
-      flags.GetString("distance", "squared") == "absolute"
-          ? dtw::LocalDistance::kAbsolute
-          : dtw::LocalDistance::kSquared;
-  const int64_t topk = flags.GetInt64("topk", 0);
-  int64_t threads = flags.GetInt64("threads", 0);
-  const int64_t batch = flags.GetInt64("batch", 0);
-  IntrospectOptions introspect;
-  introspect.port = flags.GetInt64("introspect_port", -1);
-  introspect.linger_ms = flags.GetInt64("introspect_linger_ms", 0);
-  introspect.staleness_ms = flags.GetDouble("introspect_staleness_ms", 1000.0);
-  introspect.publish_ms = flags.GetDouble("introspect_publish_ms", 50.0);
-
   if (topk > 0) {
-    if (!flags.GetString("metrics", "").empty() ||
-        !flags.GetString("trace_out", "").empty() || introspect.port >= 0) {
+    if (!metrics_format.empty() || !trace_out.empty() || introspect.port >= 0) {
       std::fprintf(stderr, "--metrics/--trace_out/--introspect_port do not "
                            "combine with --topk\n");
       return 2;
@@ -323,7 +340,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const double epsilon = flags.GetDouble("epsilon", -1.0);
   if (epsilon < 0.0) {
     std::fprintf(stderr, "need --epsilon>=0 (or --topk=K)\n");
     return 2;
@@ -331,14 +347,12 @@ int main(int argc, char** argv) {
 
   // Live introspection is the sharded monitor's telemetry plane.
   if (introspect.port >= 0 && threads <= 0) threads = 1;
-  const std::string metrics_format = flags.GetString("metrics", "");
-  const std::string trace_out = flags.GetString("trace_out", "");
   if (!metrics_format.empty() && metrics_format != "prom" &&
       metrics_format != "json") {
     std::fprintf(stderr, "--metrics must be 'prom' or 'json'\n");
     return 2;
   }
-  if ((threads > 0 || batch > 0) && flags.GetBool("paths", false)) {
+  if ((threads > 0 || batch > 0) && paths) {
     std::fprintf(stderr, "--threads/--batch do not combine with --paths\n");
     return 2;
   }
@@ -349,28 +363,20 @@ int main(int argc, char** argv) {
   }
   if (!metrics_format.empty() || !trace_out.empty() || threads > 0 ||
       batch > 0) {
-    if (flags.GetBool("paths", false)) {
+    if (paths) {
       std::fprintf(stderr, "--metrics/--trace_out do not combine with "
                            "--paths\n");
       return 2;
     }
-    core::SpringOptions options;
-    options.epsilon = epsilon;
-    options.local_distance = distance;
-    options.max_match_length = flags.GetInt64("max_length", 0);
-    options.min_match_length = flags.GetInt64("min_length", 0);
     if (threads > 0) {
       return RunSharded(repaired, *query, options, threads, batch,
-                        metrics_format, flags.GetString("metrics_out", ""),
-                        introspect);
+                        metrics_format, metrics_out, introspect);
     }
     return RunObserved(repaired, *query, options, batch, metrics_format,
-                       flags.GetString("metrics_out", ""), trace_out,
-                       flags.GetInt64("trace_capacity", 4096),
-                       flags.GetInt64("report_every", 0));
+                       metrics_out, trace_out, trace_capacity, report_every);
   }
 
-  if (flags.GetBool("paths", false)) {
+  if (paths) {
     const auto matches =
         core::DisjointPathMatches(repaired, *query, epsilon, distance);
     for (const core::PathMatch& m : matches) {
@@ -381,11 +387,6 @@ int main(int argc, char** argv) {
   } else {
     // The scan helpers do not take length constraints; run the matcher
     // directly so --max_length/--min_length work.
-    core::SpringOptions options;
-    options.epsilon = epsilon;
-    options.local_distance = distance;
-    options.max_match_length = flags.GetInt64("max_length", 0);
-    options.min_match_length = flags.GetInt64("min_length", 0);
     core::SpringMatcher matcher(query->values(), options);
     core::Match match;
     int64_t count = 0;

@@ -3,7 +3,7 @@
 //
 //   springdtw_metrics_check --in=metrics.json
 //       [--require=spring_ticks_total,spring_matches_total]
-//       [--require_histogram=spring_stage_latency_nanos]
+//       [--require_histogram=spring_e2e_latency_nanos]
 //       [--require_gauge=spring_ring_occupancy]
 //       [--timez=timez.json] [--alertz=alertz.json]
 //
@@ -27,7 +27,6 @@
 // firing_page <= firing. Both may be given alongside or instead of --in;
 // any failed validation exits 1.
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -43,298 +42,6 @@
 
 namespace {
 
-// Minimal recursive-descent JSON syntax checker. It does not build a
-// document tree; it validates syntax and invokes a callback for every
-// "name":"<value>" string pair so the caller can collect family names.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool Validate() {
-    SkipWhitespace();
-    if (!ParseValue()) return false;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      error_ = "trailing characters";
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-  const std::vector<std::string>& names() const { return names_; }
-  /// Family name -> declared "type" string ("counter", "gauge",
-  /// "histogram"), in the order the "type" keys were seen.
-  const std::vector<std::pair<std::string, std::string>>& family_types()
-      const {
-    return family_types_;
-  }
-  /// Histogram-series validation problems (negative/NaN quantile bounds,
-  /// null stats with a nonzero count, ...). Syntactically valid files with
-  /// such problems still Validate() == true; the caller decides.
-  const std::vector<std::string>& series_errors() const {
-    return series_errors_;
-  }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + springdtw::util::StrFormat(
-                             " at byte %zu", pos_);
-    }
-    return false;
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  /// What a scalar value parse saw, for histogram-series validation.
-  /// Non-finite doubles render as JSON null, so `is_null` doubles as the
-  /// NaN/Inf signal.
-  struct ScalarValue {
-    bool is_number = false;
-    bool is_null = false;
-    double number = 0.0;
-  };
-
-  bool ParseValue(ScalarValue* scalar = nullptr) {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        std::string ignored;
-        return ParseString(&ignored);
-      }
-      case 't':
-        return ParseLiteral("true");
-      case 'f':
-        return ParseLiteral("false");
-      case 'n':
-        if (scalar != nullptr) scalar->is_null = true;
-        return ParseLiteral("null");
-      default:
-        return ParseNumber(scalar);
-    }
-  }
-
-  bool ParseLiteral(const std::string& literal) {
-    if (text_.compare(pos_, literal.size(), literal) == 0) {
-      pos_ += literal.size();
-      return true;
-    }
-    return Fail("bad literal");
-  }
-
-  bool ParseNumber(ScalarValue* scalar = nullptr) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a value");
-    double parsed = 0.0;
-    if (!springdtw::util::ParseDouble(text_.substr(start, pos_ - start),
-                                      &parsed)) {
-      return Fail("malformed number");
-    }
-    if (scalar != nullptr) {
-      scalar->is_number = true;
-      scalar->number = parsed;
-    }
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("bad escape");
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return Fail("bad \\u escape");
-            }
-          }
-          out->push_back('?');  // Names we match against are ASCII.
-        } else if (esc == '"' || esc == '\\' || esc == '/' || esc == 'b' ||
-                   esc == 'f' || esc == 'n' || esc == 'r' || esc == 't') {
-          out->push_back(esc);
-        } else {
-          return Fail("bad escape");
-        }
-        ++pos_;
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      out->push_back(c);
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseObject() {
-    if (!Consume('{')) return false;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    // Histogram-stat keys seen directly in THIS object (nested objects
-    // recurse and collect their own). An object carrying both "count" and
-    // "p50" is a histogram series; it gets validated on close.
-    static constexpr const char* kStatKeys[] = {
-        "count", "sum", "min", "max", "mean", "p50", "p90", "p99"};
-    static constexpr size_t kNumStatKeys =
-        sizeof(kStatKeys) / sizeof(kStatKeys[0]);
-    bool stat_seen[kNumStatKeys] = {};
-    ScalarValue stat_values[kNumStatKeys];
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWhitespace();
-      if (!Consume(':')) return false;
-      SkipWhitespace();
-      if (key == "name" && pos_ < text_.size() && text_[pos_] == '"') {
-        std::string value;
-        if (!ParseString(&value)) return false;
-        names_.push_back(value);
-        last_family_ = value;
-      } else if (key == "type" && pos_ < text_.size() &&
-                 text_[pos_] == '"') {
-        std::string value;
-        if (!ParseString(&value)) return false;
-        if (!last_family_.empty()) {
-          family_types_.emplace_back(last_family_, value);
-        }
-      } else {
-        size_t stat = kNumStatKeys;
-        for (size_t i = 0; i < kNumStatKeys; ++i) {
-          if (key == kStatKeys[i]) {
-            stat = i;
-            break;
-          }
-        }
-        if (stat < kNumStatKeys) {
-          if (!ParseValue(&stat_values[stat])) return false;
-          stat_seen[stat] = true;
-        } else {
-          if (!ParseValue()) return false;
-        }
-      }
-      SkipWhitespace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (!Consume('}')) return false;
-      if (stat_seen[0] && stat_seen[5]) {  // "count" and "p50"
-        ValidateHistogramSeries(kStatKeys, kNumStatKeys, stat_seen,
-                                stat_values);
-      }
-      return true;
-    }
-  }
-
-  void SeriesError(const std::string& message) {
-    series_errors_.push_back(springdtw::util::StrFormat(
-        "histogram family '%s': %s", last_family_.c_str(), message.c_str()));
-  }
-
-  void ValidateHistogramSeries(const char* const* keys, size_t num_keys,
-                               const bool* seen, const ScalarValue* values) {
-    const ScalarValue& count = values[0];
-    if (!count.is_number || count.number < 0.0) {
-      SeriesError("series count is missing, null, or negative");
-      return;
-    }
-    if (count.number == 0.0) return;  // empty series render stats as null
-    for (size_t i = 1; i < num_keys; ++i) {
-      if (!seen[i]) continue;
-      const bool is_quantile = keys[i][0] == 'p';
-      if (!values[i].is_number) {
-        SeriesError(springdtw::util::StrFormat(
-            "series %s is %s with count > 0 (NaN/Inf leak?)", keys[i],
-            values[i].is_null ? "null" : "not a number"));
-      } else if (is_quantile && values[i].number < 0.0) {
-        SeriesError(springdtw::util::StrFormat(
-            "series %s bucket bound is negative (%g)", keys[i],
-            values[i].number));
-      }
-    }
-    // Quantiles are order statistics, so they nest inside the extremes.
-    // Indexes into kStatKeys: min, p50, p90, p99, max.
-    static constexpr size_t kOrdered[] = {2, 5, 6, 7, 3};
-    for (size_t i = 0; i + 1 < std::size(kOrdered); ++i) {
-      const ScalarValue& lo = values[kOrdered[i]];
-      const ScalarValue& hi = values[kOrdered[i + 1]];
-      if (!lo.is_number || !hi.is_number || lo.number > hi.number) {
-        SeriesError(springdtw::util::StrFormat(
-            "series needs %s <= %s (got %g, %g)", keys[kOrdered[i]],
-            keys[kOrdered[i + 1]], lo.number, hi.number));
-      }
-    }
-  }
-
-  bool ParseArray() {
-    if (!Consume('[')) return false;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (!ParseValue()) return false;
-      SkipWhitespace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-  std::vector<std::string> names_;
-  std::string last_family_;
-  std::vector<std::pair<std::string, std::string>> family_types_;
-  std::vector<std::string> series_errors_;
-};
-
 bool ReadFileText(const std::string& path, std::string* out) {
   std::ifstream in(path);
   if (!in) {
@@ -345,6 +52,50 @@ bool ReadFileText(const std::string& path, std::string* out) {
   buffer << in.rdbuf();
   *out = buffer.str();
   return true;
+}
+
+/// One series of a histogram family; returns the number of problems.
+/// Non-finite doubles render as JSON null, so null stats with count > 0
+/// signal a NaN/Inf leak.
+int CheckHistogramSeries(const std::string& path, const std::string& family,
+                         const springdtw::util::JsonValue& series) {
+  int problems = 0;
+  const auto fail = [&](const std::string& message) {
+    std::fprintf(stderr, "%s: histogram family '%s': %s\n", path.c_str(),
+                 family.c_str(), message.c_str());
+    ++problems;
+  };
+  const springdtw::util::JsonValue* count = series.Find("count");
+  if (count == nullptr || !count->is_number() || count->number_value() < 0) {
+    fail("series count is missing, null, or negative");
+    return problems;
+  }
+  if (count->number_value() == 0) return 0;  // empty series: null stats
+  for (const char* key : {"sum", "min", "max", "mean", "p50", "p90", "p99"}) {
+    const springdtw::util::JsonValue* value = series.Find(key);
+    if (value == nullptr) continue;
+    if (!value->is_number()) {
+      fail(springdtw::util::StrFormat(
+          "series %s is %s with count > 0 (NaN/Inf leak?)", key,
+          value->is_null() ? "null" : "not a number"));
+    } else if (key[0] == 'p' && value->number_value() < 0) {
+      fail(springdtw::util::StrFormat(
+          "series %s bucket bound is negative (%g)", key,
+          value->number_value()));
+    }
+  }
+  // Quantiles are order statistics, so they nest inside the extremes.
+  static constexpr const char* kOrdered[] = {"min", "p50", "p90", "p99",
+                                             "max"};
+  for (size_t i = 0; i + 1 < std::size(kOrdered); ++i) {
+    const double lo = series.NumberOr(kOrdered[i], std::nan(""));
+    const double hi = series.NumberOr(kOrdered[i + 1], std::nan(""));
+    if (!(lo <= hi)) {
+      fail(springdtw::util::StrFormat("series needs %s <= %s (got %g, %g)",
+                                      kOrdered[i], kOrdered[i + 1], lo, hi));
+    }
+  }
+  return problems;
 }
 
 int CheckedAgg(const std::string& path, const springdtw::util::JsonValue& v,
@@ -614,94 +365,63 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text;
+  if (!ReadFileText(path, &text)) return 1;
   if (text.empty()) {
     std::fprintf(stderr, "%s is empty\n", path.c_str());
     return 1;
   }
-
-  JsonChecker checker(text);
-  if (!checker.Validate()) {
+  auto parsed = springdtw::util::ParseJson(text);
+  if (!parsed.ok()) {
     std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                 checker.error().c_str());
+                 parsed.status().ToString().c_str());
     return 1;
   }
-  if (text.find("\"metrics\"") == std::string::npos) {
-    std::fprintf(stderr, "%s: no top-level \"metrics\" key\n", path.c_str());
+  const springdtw::util::JsonValue* metrics = parsed->Find("metrics");
+  if (metrics == nullptr || !metrics->is_array()) {
+    std::fprintf(stderr, "%s: no top-level \"metrics\" array\n",
+                 path.c_str());
     return 1;
   }
-  for (const std::string& problem : checker.series_errors()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), problem.c_str());
+  int problems = endpoint_problems;
+  for (const auto& family : metrics->array()) {
+    const springdtw::util::JsonValue* series = family.Find("series");
+    if (family.StringOr("type", "") != "histogram" || series == nullptr) {
+      continue;
+    }
+    for (const auto& entry : series->array()) {
+      problems += CheckHistogramSeries(path, family.StringOr("name", ""),
+                                       entry);
+    }
   }
-
-  int missing = 0;
-  const std::string require = flags.GetString("require", "");
-  if (!require.empty()) {
-    for (const std::string& name : springdtw::util::Split(require, ',')) {
+  // --require takes any type; --require_histogram also needs a series.
+  const std::pair<const char*, std::string> kRequirements[] = {
+      {"require", ""},
+      {"require_histogram", "histogram"},
+      {"require_gauge", "gauge"}};
+  for (const auto& [flag, type] : kRequirements) {
+    const std::string names = flags.GetString(flag, "");
+    if (names.empty()) continue;
+    for (const std::string& name : springdtw::util::Split(names, ',')) {
       bool found = false;
-      for (const std::string& have : checker.names()) {
-        if (have == name) {
-          found = true;
-          break;
-        }
+      for (const auto& family : metrics->array()) {
+        const springdtw::util::JsonValue* series = family.Find("series");
+        found = family.StringOr("name", "") == name &&
+                (type.empty() || family.StringOr("type", "") == type) &&
+                (type != "histogram" ||
+                 (series != nullptr && series->size() > 0));
+        if (found) break;
       }
       if (!found) {
-        std::fprintf(stderr, "%s: missing required metric family '%s'\n",
-                     path.c_str(), name.c_str());
-        ++missing;
+        std::fprintf(stderr, "%s: missing required %s family '%s'\n",
+                     path.c_str(), type.empty() ? "metric" : type.c_str(),
+                     name.c_str());
+        ++problems;
       }
     }
   }
-  const std::string require_histogram =
-      flags.GetString("require_histogram", "");
-  if (!require_histogram.empty()) {
-    for (const std::string& name :
-         springdtw::util::Split(require_histogram, ',')) {
-      bool found = false;
-      for (const auto& [family, type] : checker.family_types()) {
-        if (family == name && type == "histogram") {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr,
-                     "%s: missing required histogram family '%s'\n",
-                     path.c_str(), name.c_str());
-        ++missing;
-      }
-    }
-  }
-  const std::string require_gauge = flags.GetString("require_gauge", "");
-  if (!require_gauge.empty()) {
-    for (const std::string& name :
-         springdtw::util::Split(require_gauge, ',')) {
-      bool found = false;
-      for (const auto& [family, type] : checker.family_types()) {
-        if (family == name && type == "gauge") {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "%s: missing required gauge family '%s'\n",
-                     path.c_str(), name.c_str());
-        ++missing;
-      }
-    }
-  }
-  if (missing > 0 || !checker.series_errors().empty() ||
-      endpoint_problems > 0) {
-    return 1;
-  }
+  if (problems > 0) return 1;
   std::printf("%s: ok (%zu metric families)\n", path.c_str(),
-              checker.names().size());
+              metrics->size());
   return 0;
 }

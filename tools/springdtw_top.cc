@@ -413,7 +413,7 @@ int Run(int argc, char** argv) {
                            "/timez?metric=spring_ticks_total&window=60");
     auto stages = FetchJson(
         host, port,
-        "/timez?metric=spring_stage_latency_nanos&field=p99&window=60");
+        "/timez?metric=spring_e2e_latency_nanos&field=p99&window=60");
 
     Frame frame;
     RenderHeader(*statusz,
