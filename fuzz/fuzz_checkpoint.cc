@@ -70,9 +70,12 @@ void DriveEngine(const uint8_t* data, size_t size) {
   }
   engine.FlushAll();
   // Re-checkpointing a restored engine must produce a restorable
-  // checkpoint (forced-invariant builds verify byte-identity internally).
+  // checkpoint in canonical form: the resumed engine re-serializes to
+  // exactly the bytes it was restored from.
+  const std::vector<uint8_t> checkpoint = engine.SerializeState();
   MonitorEngine resumed;
-  if (!resumed.RestoreState(engine.SerializeState()).ok()) std::abort();
+  if (!resumed.RestoreState(checkpoint).ok()) std::abort();
+  if (resumed.SerializeState() != checkpoint) std::abort();
 }
 
 }  // namespace

@@ -98,6 +98,40 @@ std::string CheckColumn(const StwmColumn& col) {
   return "";
 }
 
+std::string CheckFrontier(const StwmColumn& col, double bound,
+                          int64_t computed, int64_t frontier) {
+  const int64_t t = col.t;
+  const int64_t rows = static_cast<int64_t>(col.d.size());
+  for (int64_t i = computed + 1; i < rows; ++i) {
+    const size_t r = static_cast<size_t>(i);
+    if (col.d[r - 1] <= bound || col.d_prev[r] <= bound ||
+        col.d_prev[r - 1] <= bound) {
+      return Violation(
+          "frontier-sound", t, i,
+          util::StrFormat("skipped row has a live predecessor (%g/%g/%g, "
+                          "bound %g)",
+                          col.d[r - 1], col.d_prev[r], col.d_prev[r - 1],
+                          bound));
+    }
+  }
+  if (frontier < 0 || frontier > computed) {
+    return Violation(
+        "frontier-sound", t, frontier,
+        util::StrFormat("frontier outside the %lld computed rows",
+                        static_cast<long long>(computed)));
+  }
+  for (int64_t i = frontier + 1; i <= computed && i < rows; ++i) {
+    if (col.d[static_cast<size_t>(i)] <= bound) {
+      return Violation(
+          "frontier-sound", t, i,
+          util::StrFormat("live cell d=%g above the frontier %lld",
+                          col.d[static_cast<size_t>(i)],
+                          static_cast<long long>(frontier)));
+    }
+  }
+  return "";
+}
+
 std::string CheckCandidate(const StwmColumn& col, double dmin, int64_t ts,
                            int64_t te, int64_t group_start,
                            int64_t group_end, double epsilon) {

@@ -56,6 +56,17 @@ struct StwmColumn {
 ///    s(t, i-1), s(t-1, i), s(t-1, i-1).
 std::string CheckColumn(const StwmColumn& col);
 
+/// ε-frontier soundness of a column update that computed rows 1..computed
+/// and stored `frontier` (docs/ALGORITHM.md §6), on a column view that
+/// shows dead and uncomputed cells as +∞ (the kernel's CheckedColumn):
+///  * no skipped row i > computed has a predecessor d(t, i-1),
+///    d(t-1, i) or d(t-1, i-1) at or below `bound`, so skipping it
+///    cannot hide a live cell;
+///  * the stored frontier lies within the computed rows and at or above
+///    the highest computed row with d <= bound.
+std::string CheckFrontier(const StwmColumn& col, double bound,
+                          int64_t computed, int64_t frontier);
+
 /// Properties of a captured-but-unreported candidate (the paper's d_min,
 /// t_s, t_e): 0 <= d_min <= epsilon, 0 <= t_s <= t_e <= t, and the
 /// candidate lies inside its group's extent.

@@ -22,6 +22,9 @@ int64_t BasicSpringPool<Policy>::AppendSlot(std::span<const double> values,
   slot.row_offset = static_cast<int64_t>(d_rows_[0].size());
   slot.state.m = static_cast<int64_t>(values.size()) / dims_;
   slot.state.options = options;
+  // Pools compute the ε-frontier only; a negative ε asks for the exact
+  // best match, which needs full columns.
+  if (options.epsilon >= 0.0) slot.state.frontier_bound = options.epsilon;
   query_values_.insert(query_values_.end(), values.begin(), values.end());
   const size_t m = static_cast<size_t>(slot.state.m);
   for (int buf = 0; buf < 2; ++buf) {
@@ -101,7 +104,8 @@ template <typename Policy>
 bool BasicSpringPool<Policy>::RemoveQuery(int64_t index, Match* match) {
   const Slot& slot = at(index);
   const SpringState& q = slot.state;
-  // The report-eligibility scan a tick would run, on the live rows.
+  // The report-eligibility scan a tick would run, on the live rows up to
+  // the frontier.
   const bool flushed =
       SpringCanReport(q, d_rows_[parity_].data() + slot.row_offset,
                       s_rows_[parity_].data() + slot.row_offset);

@@ -65,12 +65,14 @@ struct NoSpringSignals {
 /// and PushBatch() processes a span of ticks query-major, so each query's
 /// two rows stay in L1 for the entire batch.
 ///
-/// Each slot behaves exactly like one SpringMatcher (VectorSpringMatcher for
-/// the row pool) fed the same ticks: same reports, same best match, and
-/// SerializeQuery() writes that matcher's snapshot bytes. Queries may be
-/// added mid-stream (each keeps its own tick counter) and may use different
-/// SpringOptions. The pool is single-threaded; shard pools across threads
-/// for parallelism (docs/SCALEOUT.md).
+/// Each slot reports exactly like one SpringMatcher (VectorSpringMatcher
+/// for the row pool) fed the same ticks, but computes only its ε-frontier
+/// when ε >= 0 (docs/ALGORITHM.md §6): the same reports, the same best
+/// match at or below ε, and SerializeQuery() writes that matcher's
+/// snapshot bytes in canonical form. Queries may be added mid-stream (each
+/// keeps its own tick counter) and may use different SpringOptions. The
+/// pool is single-threaded; shard pools across threads for parallelism
+/// (docs/SCALEOUT.md).
 template <typename Policy>
 class BasicSpringPool {
  public:
@@ -91,15 +93,17 @@ class BasicSpringPool {
   /// dims() channels (CHECK-enforced).
   int64_t AddQuery(Query query, const SpringOptions& options);
 
-  /// Adds a query resuming from SerializeQuery() / matcher snapshot bytes;
-  /// returns its pool index, or an error for a corrupt, inadmissible or
-  /// (row pool) wrong-dims snapshot.
+  /// Adds a query resuming from SerializeQuery() / matcher snapshot bytes,
+  /// put into canonical form (full rows are accepted); returns its pool
+  /// index, or an error for a corrupt, inadmissible or (row pool)
+  /// wrong-dims snapshot.
   util::StatusOr<int64_t> AddQueryFromSnapshot(
       std::span<const uint8_t> bytes);
 
   /// Query `index`'s snapshot: the bytes SpringMatcher::SerializeState
   /// (VectorSpringMatcher's for the row pool) would produce for a matcher
-  /// fed the same ticks.
+  /// fed the same ticks, in canonical form: every cell above ε written as
+  /// +∞ from start 0, and no best match above ε.
   std::vector<uint8_t> SerializeQuery(int64_t index) const;
 
   /// Advances every query through `values` (dims() values per tick),
@@ -136,7 +140,6 @@ class BasicSpringPool {
   /// Query `index`'s live kernel state (tick counter, candidate, best
   /// match, counters).
   const SpringState& state(int64_t index) const { return at(index).state; }
-  int64_t query_length(int64_t index) const { return state(index).m; }
   int64_t cells_computed_total(int64_t index) const {
     return state(index).cells_computed;
   }
@@ -171,7 +174,9 @@ class BasicSpringPool {
 
   // Double-buffered SoA rows for all queries. rows_[parity_] holds the
   // previous tick's rows ("prev"), rows_[1 - parity_] is scratch for the
-  // tick being computed; parity flips once per consumed tick.
+  // tick being computed; parity flips once per consumed tick. A slot's
+  // cells past its frontier hold values from two ticks back: every reader
+  // stops at the frontier.
   std::vector<double> d_rows_[2];
   std::vector<int64_t> s_rows_[2];
   int parity_ = 0;

@@ -39,19 +39,26 @@ namespace internal {
 invariants::StwmColumn CheckedColumn(const SpringState& q,
                                      const double* d_prev,
                                      const int64_t* s_prev, const double* d,
-                                     const int64_t* s) {
+                                     const int64_t* s, int64_t prev_frontier,
+                                     int64_t computed) {
   thread_local std::vector<double> col_d, col_d_prev;
   thread_local std::vector<int64_t> col_s, col_s_prev;
   const size_t rows = static_cast<size_t>(q.m) + 1;
-  col_d.assign(rows, 0.0);
-  col_d_prev.assign(rows, 0.0);
-  col_s.assign(rows, q.t);
-  col_s_prev.assign(rows, q.t > 0 ? q.t - 1 : 0);
-  for (size_t i = 1; i < rows; ++i) {
-    col_d[i] = d[i - 1];
-    col_s[i] = s[i - 1];
-    col_d_prev[i] = d_prev[i - 1];
-    col_s_prev[i] = s_prev[i - 1];
+  col_d.assign(rows, kSpringInf);
+  col_d_prev.assign(rows, kSpringInf);
+  col_s.assign(rows, 0);
+  col_s_prev.assign(rows, 0);
+  col_d[0] = 0.0;
+  col_d_prev[0] = 0.0;
+  col_s[0] = q.t;
+  col_s_prev[0] = q.t > 0 ? q.t - 1 : 0;
+  for (int64_t i = 0; i < computed; ++i) {
+    col_d[static_cast<size_t>(i) + 1] = d[i];
+    col_s[static_cast<size_t>(i) + 1] = s[i];
+  }
+  for (int64_t i = 0; i < prev_frontier; ++i) {
+    col_d_prev[static_cast<size_t>(i) + 1] = d_prev[i];
+    col_s_prev[static_cast<size_t>(i) + 1] = s_prev[i];
   }
   return invariants::StwmColumn{col_d, col_s, col_d_prev, col_s_prev, q.t};
 }
@@ -91,14 +98,19 @@ void WriteSpringSnapshot(util::ByteWriter* writer, uint32_t magic,
   writer->WriteU64(values.size());
   for (const double v : values) writer->WriteDouble(v);
   // The live rows, star row first: d = 0 and s = the last tick (0 before
-  // the first).
+  // the first). Dead cells are written as +∞ from start 0.
+  const auto live = [&q, d](int64_t i) {
+    return i < q.frontier && d[i] <= q.frontier_bound;
+  };
   const size_t rows = static_cast<size_t>(q.m) + 1;
   writer->WriteU64(rows);
   writer->WriteDouble(0.0);
-  for (int64_t i = 0; i < q.m; ++i) writer->WriteDouble(d[i]);
+  for (int64_t i = 0; i < q.m; ++i) {
+    writer->WriteDouble(live(i) ? d[i] : kSpringInf);
+  }
   writer->WriteU64(rows);
   writer->WriteI64(q.t > 0 ? q.t - 1 : 0);
-  for (int64_t i = 0; i < q.m; ++i) writer->WriteI64(s[i]);
+  for (int64_t i = 0; i < q.m; ++i) writer->WriteI64(live(i) ? s[i] : 0);
   writer->WriteI64(q.t);
   writer->WriteBool(q.has_candidate);
   writer->WriteDouble(q.dmin);
@@ -218,6 +230,22 @@ util::Status ReadSpringBody(util::ByteReader* reader, SpringState* q,
         q->best.report_time > last_tick) {
       return util::InvalidArgumentError("snapshot best-match corrupt");
     }
+  }
+
+  // The canonical form for q's frontier bound: what a pruned run would
+  // hold. A no-op for full columns (+∞ bound).
+  q->frontier = 0;
+  for (int64_t i = 0; i < q->m; ++i) {
+    if (d[i] <= q->frontier_bound) {
+      q->frontier = i + 1;
+    } else {
+      d[i] = kSpringInf;
+      s[i] = 0;
+    }
+  }
+  if (q->has_best && q->best.distance > q->frontier_bound) {
+    q->has_best = false;
+    q->best = Match{};
   }
   return util::Status::Ok();
 }

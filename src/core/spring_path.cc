@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "dtw/local_distance.h"
 #include "util/logging.h"
 
 namespace springdtw {
@@ -63,54 +62,33 @@ void SpringPathMatcher::Unref(int64_t node) {
 }
 
 bool SpringPathMatcher::Update(double x, PathMatch* match) {
-  const int64_t m = state_.m;
   const int64_t t = state_.t;
-
-  // The kernel's column update (Equations 7/8, then the length prune), plus
-  // one path node per cell recording which predecessor it came from.
-  s_[0] = t;
-  for (int64_t i = 1; i <= m; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    const double d_here = d_[si - 1];
-    const double d_up = d_prev_[si];
-    const double d_diag = d_prev_[si - 1];
-    double dbest = d_here;
-    if (d_up < dbest) dbest = d_up;
-    if (d_diag < dbest) dbest = d_diag;
-
-    d_[si] = dtw::PointDistance(state_.options.local_distance, x,
-                                query_[si - 1]) +
-             dbest;
-    int64_t parent;
-    if (d_here == dbest) {
-      s_[si] = s_[si - 1];
-      parent = node_[si - 1];
-    } else if (d_up == dbest) {
-      s_[si] = s_prev_[si];
-      parent = node_prev_[si];
-    } else {
-      s_[si] = s_prev_[si - 1];
-      parent = node_prev_[si - 1];
-    }
-    if (ExceedsMaxLength(state_.options.max_match_length, t, s_[si])) {
-      d_[si] = kSpringInf;
-      ++state_.cells_pruned;
-    }
+  // The kernel's column update, plus one path node per cell recording
+  // which predecessor its path came through.
+  const auto record_path = [this, t](int64_t i, int predecessor) {
+    const size_t row = static_cast<size_t>(i) + 1;
+    const int64_t parent = predecessor == 0   ? node_[row - 1]
+                           : predecessor == 1 ? node_prev_[row]
+                                              : node_prev_[row - 1];
     // The slot still holds the node of the row from two ticks ago; release
     // it before installing this cell's node.
-    Unref(node_[si]);
-    node_[si] = NewNode(parent, t, static_cast<int32_t>(i));
-  }
-
+    Unref(node_[row]);
+    node_[row] = NewNode(parent, t, static_cast<int32_t>(row));
+  };
   Match reported;
-  const unsigned events =
-      SpringTail(state_, d_prev_.data() + 1, s_prev_.data() + 1,
-                 d_.data() + 1, s_.data() + 1, &reported);
+  const unsigned events = WithLocalDistance(
+      state_.options.local_distance, [&](auto dist) {
+        using Dist = decltype(dist);
+        return SpringStep(state_, ScalarDistance<Dist>(&x, query_.data(), 1),
+                          d_prev_.data() + 1, s_prev_.data() + 1,
+                          d_.data() + 1, s_.data() + 1, &reported,
+                          record_path);
+      });
   if ((events & kSpringReported) != 0) EmitCandidate(reported, match);
   if ((events & kSpringCandidateCaptured) != 0) {
     // Pin the candidate's path so row churn cannot reclaim it.
     Unref(candidate_node_);
-    candidate_node_ = node_[static_cast<size_t>(m)];
+    candidate_node_ = node_[static_cast<size_t>(state_.m)];
     Ref(candidate_node_);
   }
 

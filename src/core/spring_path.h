@@ -28,9 +28,9 @@ struct PathMatch {
 /// far below the naive method's O(n*m).
 ///
 /// The reported matches (positions, distances, report times) are identical
-/// to SpringMatcher's, length options included: the column loop adds only
-/// the path-node bookkeeping and then runs the shared kernel's length prune
-/// and Figure-4 tail (core/spring_kernel.h). Per-tick cost is still O(m),
+/// to SpringMatcher's, length options included: each tick is the shared
+/// kernel's SpringStep over full columns (core/spring_kernel.h), whose
+/// cell hook adds only the path-node bookkeeping. Per-tick cost is still O(m),
 /// allocation-free once the arena has warmed up (freed nodes are recycled
 /// through a free list).
 class SpringPathMatcher {

@@ -12,10 +12,12 @@ namespace monitor {
 inline constexpr int64_t kCostTopK = 100;
 
 /// One /queryz row: everything the monitor knows about what a query has
-/// cost so far. `cells` is the exact STWM work (query length m cells per
-/// tick) — the paper's O(m)-per-tick DP is the dominating cost, so cells
-/// is the primary ranking key. `est_cpu_nanos` is the sampled wall
-/// attribution (EngineOptions::cost_sample_every); 0 when sampling is off.
+/// cost so far. `cells` is the exact STWM work: the cells the kernel
+/// computed, up to each tick's ε-frontier (at most the query length m per
+/// tick). The SPRING DP is the dominating cost, so cells is the primary
+/// ranking key. `est_cpu_nanos` is the sampled wall attribution
+/// (EngineOptions::cost_sample_every), split across a stream's queries by
+/// the cells each computed in the sampled run; 0 when sampling is off.
 struct QueryCost {
   int64_t query_id = 0;
   int64_t stream_id = 0;

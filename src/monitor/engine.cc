@@ -256,10 +256,15 @@ int64_t MonitorEngine::Ingest(Stream& stream,
   if (timed) start_nanos = util::Stopwatch::NowNanos();
 
   if (obs_ != nullptr) stream.obs_pushes->Increment(ticks);
-  for (const int64_t query_id : stream.query_ids) {
-    QueryEntry& query = queries[static_cast<size_t>(query_id)];
+  if (cost_sampled) cost_cells_marks_.resize(stream.query_ids.size());
+  for (size_t k = 0; k < stream.query_ids.size(); ++k) {
+    QueryEntry& query = queries[static_cast<size_t>(stream.query_ids[k])];
     query.stats.ticks += ticks;
     if (obs_ != nullptr) query.obs.ticks->Increment(ticks);
+    if (cost_sampled) {
+      cost_cells_marks_[k] =
+          stream.pool.cells_computed_total(static_cast<int64_t>(k));
+    }
   }
   batch_reports_.clear();
   if (obs_ == nullptr) {
@@ -583,21 +588,23 @@ void MonitorEngine::AccumulateCost(const Stream& stream,
                                    std::vector<QueryEntry>& queries,
                                    int64_t elapsed_nanos, int64_t multiplier) {
   if (elapsed_nanos <= 0 || stream.query_ids.empty()) return;
-  // Attribute by query length: one tick costs O(m) STWM cells per query,
-  // so a stream-level measurement splits across its queries as m_i / sum_m.
-  int64_t total_m = 0;
-  for (int64_t k = 0; k < stream.pool.num_queries(); ++k) {
-    total_m += stream.pool.query_length(k);
+  // Attribute by the cells each query computed in the run: the kernel's
+  // work per tick follows each query's ε-frontier, not its length.
+  const auto run_cells = [&](size_t k) {
+    return stream.pool.cells_computed_total(static_cast<int64_t>(k)) -
+           cost_cells_marks_[k];
+  };
+  int64_t total_cells = 0;
+  for (size_t k = 0; k < stream.query_ids.size(); ++k) {
+    total_cells += run_cells(k);
   }
-  if (total_m <= 0) return;
+  if (total_cells <= 0) return;
   const double scaled = static_cast<double>(elapsed_nanos) *
                         static_cast<double>(multiplier);
   for (size_t k = 0; k < stream.query_ids.size(); ++k) {
-    QueryEntry& query = queries[static_cast<size_t>(stream.query_ids[k])];
-    query.est_cpu_nanos += static_cast<int64_t>(
-        scaled *
-        static_cast<double>(stream.pool.query_length(static_cast<int64_t>(k))) /
-        static_cast<double>(total_m));
+    queries[static_cast<size_t>(stream.query_ids[k])].est_cpu_nanos +=
+        static_cast<int64_t>(scaled * static_cast<double>(run_cells(k)) /
+                             static_cast<double>(total_cells));
   }
 }
 

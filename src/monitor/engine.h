@@ -43,7 +43,8 @@ struct EngineOptions {
   /// CPU cost sampling for per-query cost accounting (/queryz): when > 0,
   /// every Nth Push to a stream times the full query pass and attributes
   /// the elapsed nanoseconds (scaled by N) across the stream's queries in
-  /// proportion to query length — the O(m)-per-tick SPRING cost model — so
+  /// proportion to the STWM cells each computed in that pass (its
+  /// ε-frontier, at most m per tick) — so
   /// QueryEstCpuNanos() converges on each query's true CPU share without
   /// per-tick clock reads. A PushBatch run counts as one Push. 0 (the
   /// default) disables sampling: no clock reads, no accounting. Estimates
@@ -57,7 +58,7 @@ struct EngineOptions {
 /// number of queries to each, push values as they arrive; matches fan out to
 /// the registered sinks. Each stream holds its queries in one
 /// structure-of-arrays pool (core::SpringBatchPool, core::VectorSpringPool
-/// for vector streams); every query behaves exactly like one SpringMatcher
+/// for vector streams); every query reports exactly like one SpringMatcher
 /// fed the same values.
 ///
 /// Threading model: an engine instance is confined to one thread — no member
@@ -167,9 +168,10 @@ class MonitorEngine {
   /// Per-query counters. Requires a valid query id.
   const QueryStats& stats(int64_t query_id) const;
 
-  /// STWM cells this scalar query has computed since registration (ticks x
-  /// query length, minus constraint-pruned work). Exact count maintained by
-  /// the matcher; 0 after RemoveQuery. Requires a valid query id.
+  /// STWM cells this scalar query has computed since registration: per
+  /// tick, the cells up to its ε-frontier (at most the query length m).
+  /// Exact count maintained by the kernel; 0 after RemoveQuery. Requires a
+  /// valid query id.
   int64_t QueryCellsComputed(int64_t query_id) const;
 
   /// Estimated CPU nanoseconds attributed to this scalar query by cost
@@ -339,7 +341,7 @@ class MonitorEngine {
   void MaybeReport(int64_t ticks);
 
   /// Distributes `elapsed_nanos * multiplier` of measured CPU across the
-  /// stream's queries in proportion to query length (the O(m)/tick model).
+  /// stream's queries in proportion to the cells each computed in the run.
   template <typename Stream>
   void AccumulateCost(const Stream& stream, std::vector<QueryEntry>& queries,
                       int64_t elapsed_nanos, int64_t multiplier);
@@ -354,6 +356,10 @@ class MonitorEngine {
   /// allocates.
   std::vector<core::SpringPoolReport> batch_reports_;
   std::vector<double> batch_values_;
+  /// Each query's cells_computed at the start of the cost-sampled run
+  /// being timed (by pool index), so AccumulateCost splits by the cells
+  /// the run computed.
+  std::vector<int64_t> cost_cells_marks_;
 
   obs::Observability* obs_ = nullptr;
   obs::Histogram* obs_push_latency_ = nullptr;

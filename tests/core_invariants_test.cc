@@ -95,6 +95,62 @@ TEST(CheckColumnTest, CatchesRowShapeMismatch) {
   EXPECT_NE(CheckColumn(fix.Column()).find("row-shape"), std::string::npos);
 }
 
+/// A pruned column update at t = 5, bound 5, m = 4, as CheckedColumn shows
+/// it: the previous column's frontier is row 2 (rows past it read +∞), so
+/// the update computes rows 1-3 and, because d(5, 3) = 3 is live, row 4
+/// (d = 9, dead). The stored frontier is row 3.
+struct FrontierFixture {
+  std::vector<double> d = {0.0, 4.0, 1.0, 3.0, 9.0};
+  std::vector<int64_t> s = {5, 5, 3, 3, 3};
+  std::vector<double> d_prev = {0.0, 1.0, 2.0, kInf, kInf};
+  std::vector<int64_t> s_prev = {4, 3, 3, 0, 0};
+  int64_t computed = 4;
+  int64_t frontier = 3;
+
+  std::string Check() const {
+    return CheckFrontier(
+        StwmColumn{std::span<const double>(d), std::span<const int64_t>(s),
+                   std::span<const double>(d_prev),
+                   std::span<const int64_t>(s_prev), 5},
+        /*bound=*/5.0, computed, frontier);
+  }
+};
+
+TEST(CheckFrontierTest, AcceptsSoundFrontier) {
+  FrontierFixture fix;
+  EXPECT_EQ(fix.Check(), "");
+  // Full columns: a +∞ bound computes every row and keeps the frontier
+  // at m.
+  fix.d_prev = {0.0, 1.0, 2.0, 7.0, 8.0};
+  fix.frontier = 4;
+  EXPECT_EQ(CheckFrontier(StwmColumn{fix.d, fix.s, fix.d_prev, fix.s_prev, 5},
+                          kInf, 4, 4),
+            "");
+}
+
+TEST(CheckFrontierTest, CatchesColumnThatStopsOneCellEarly) {
+  FrontierFixture fix;
+  // Row 4 skipped although d(5, 3) = 3 <= 5 could still feed it.
+  fix.computed = 3;
+  fix.d[4] = kInf;
+  fix.s[4] = 0;
+  EXPECT_NE(fix.Check().find("frontier-sound"), std::string::npos);
+  // Row 3 skipped although its diagonal predecessor d(4, 2) = 2 is live.
+  fix.computed = 2;
+  fix.frontier = 2;
+  fix.d[3] = kInf;
+  fix.s[3] = 0;
+  EXPECT_NE(fix.Check().find("frontier-sound"), std::string::npos);
+}
+
+TEST(CheckFrontierTest, CatchesFrontierOneCellTooLow) {
+  FrontierFixture fix;
+  fix.frontier = 2;  // Row 3 (d = 3) is live above it.
+  EXPECT_NE(fix.Check().find("frontier-sound"), std::string::npos);
+  fix.frontier = 5;  // Past the computed rows: stale cells would be live.
+  EXPECT_NE(fix.Check().find("frontier-sound"), std::string::npos);
+}
+
 TEST(CheckCandidateTest, AcceptsQualifyingCandidate) {
   ColumnFixture fix;
   EXPECT_EQ(CheckCandidate(fix.Column(), /*dmin=*/1.0, /*ts=*/2, /*te=*/4,

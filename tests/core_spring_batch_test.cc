@@ -1,8 +1,9 @@
 // SpringBatchPool unit tests: the SoA pool must be bit-for-bit equivalent
 // to one SpringMatcher per query — same reports (start, end, distance,
-// report tick), same best-match, and query snapshots byte-identical to
-// SpringMatcher::SerializeState, restorable in both directions. The
-// randomized cross-implementation sweep lives in
+// report tick), the same best match at or below ε, and query snapshots
+// byte-identical to SpringMatcher::SerializeState in canonical form,
+// restorable in both directions — while computing only the ε-frontier.
+// The randomized cross-implementation sweep lives in
 // differential_oracle_test.cc; these are the targeted cases.
 #include <algorithm>
 #include <cmath>
@@ -12,7 +13,9 @@
 
 #include "core/spring.h"
 #include "core/spring_batch.h"
+#include "core/subsequence_scan.h"
 #include "core/vector_spring.h"
+#include "gen/masked_chirp.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -38,12 +41,29 @@ void Push(SpringBatchPool* pool, double x,
   pool->PushBatch(std::span<const double>(&x, 1), reports);
 }
 
+/// `bytes` in the pools' canonical snapshot form: what a pool restoring
+/// them writes back (dead cells as +∞ from start 0, no best match above ε).
+template <typename Pool = SpringBatchPool>
+std::vector<uint8_t> Canonical(const std::vector<uint8_t>& bytes,
+                               int64_t dims = 1) {
+  Pool pool(dims);
+  const auto index = pool.AddQueryFromSnapshot(bytes);
+  EXPECT_TRUE(index.ok()) << index.status().ToString();
+  return index.ok() ? pool.SerializeQuery(*index) : std::vector<uint8_t>{};
+}
+
+/// What one pool run did: STWM cells computed and matches reported.
+struct PoolRun {
+  int64_t cells = 0;
+  int64_t reports = 0;
+};
+
 /// Feeds `stream` to reference matchers and to one pool; expects identical
 /// report sequences and identical end state.
 void ExpectPoolMatchesReference(
     const std::vector<std::vector<double>>& queries,
     const std::vector<SpringOptions>& options,
-    const std::vector<double>& stream, bool flush) {
+    const std::vector<double>& stream, bool flush, PoolRun* run = nullptr) {
   ASSERT_EQ(queries.size(), options.size());
   std::vector<SpringMatcher> reference;
   SpringBatchPool pool;
@@ -73,23 +93,33 @@ void ExpectPoolMatchesReference(
       }
     }
     EXPECT_EQ(next_report, reports.size()) << "spurious report at tick " << t;
+    if (run != nullptr) run->reports += static_cast<int64_t>(reports.size());
   }
 
   for (size_t i = 0; i < reference.size(); ++i) {
     const SpringState& state = pool.state(static_cast<int64_t>(i));
     EXPECT_EQ(state.t, reference[i].ticks_processed());
-    EXPECT_EQ(state.has_best, reference[i].has_best());
-    if (reference[i].has_best()) {
+    // A pool tracks best matches at or below ε only; a negative ε keeps
+    // full columns and so the exact best match.
+    const double epsilon = options[i].epsilon;
+    const bool tracked =
+        reference[i].has_best() &&
+        (epsilon < 0.0 || reference[i].best_distance() <= epsilon);
+    EXPECT_EQ(state.has_best, tracked);
+    if (tracked) {
       EXPECT_EQ(state.best.distance, reference[i].best_distance());
       EXPECT_EQ(state.best.start, reference[i].best().start);
       EXPECT_EQ(state.best.end, reference[i].best().end);
     }
     EXPECT_EQ(state.has_candidate, reference[i].has_pending_candidate());
-    // Snapshot equivalence: the pool slot serializes to the exact bytes the
-    // standalone matcher produces.
+    // Snapshot equivalence: the pool slot serializes to the standalone
+    // matcher's bytes in canonical form.
     EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(i)),
-              reference[i].SerializeState())
+              Canonical(reference[i].SerializeState()))
         << "snapshot mismatch for query " << i;
+    if (run != nullptr) {
+      run->cells += pool.cells_computed_total(static_cast<int64_t>(i));
+    }
   }
 
   if (flush) {
@@ -111,7 +141,7 @@ void ExpectPoolMatchesReference(
     EXPECT_EQ(next_report, reports.size());
     for (size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(i)),
-                reference[i].SerializeState());
+                Canonical(reference[i].SerializeState()));
     }
   }
 }
@@ -238,7 +268,8 @@ TEST(SpringBatchPoolTest, AdoptMatcherContinuesMidStream) {
     EXPECT_EQ(pool_reports[j].match.report_time, m.report_time);
     ++j;
   }
-  EXPECT_EQ(pool.SerializeQuery(*index), reference.SerializeState());
+  EXPECT_EQ(pool.SerializeQuery(*index),
+            Canonical(reference.SerializeState()));
 }
 
 TEST(SpringBatchPoolTest, AdoptRestoredSnapshotRoundTrips) {
@@ -248,23 +279,28 @@ TEST(SpringBatchPoolTest, AdoptRestoredSnapshotRoundTrips) {
   Match match;
   for (const double x : RampStream(123)) matcher.Update(x, &match);
 
+  // The matcher's full rows hold cells above ε; the pool adopts them in
+  // canonical form, and the canonical form is a fixpoint both ways.
   const std::vector<uint8_t> snapshot = matcher.SerializeState();
   SpringBatchPool pool;
   pool.AddQuery({4.0, 4.0}, options);  // The snapshot lands in slot 1.
   const auto index = pool.AddQueryFromSnapshot(snapshot);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(pool.SerializeQuery(*index), snapshot);
-  // And back: a matcher restored from the pool's bytes is the original.
-  auto restored = SpringMatcher::DeserializeState(pool.SerializeQuery(*index));
+  const std::vector<uint8_t> canonical = pool.SerializeQuery(*index);
+  EXPECT_EQ(canonical.size(), snapshot.size());
+  EXPECT_NE(canonical, snapshot) << "dead cells must be written as +inf";
+  EXPECT_EQ(Canonical(canonical), canonical);
+  // And back: a matcher restored from the pool's bytes writes them as is.
+  auto restored = SpringMatcher::DeserializeState(canonical);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->SerializeState(), snapshot);
+  EXPECT_EQ(restored->SerializeState(), canonical);
 
   // A corrupt snapshot is rejected and leaves the pool as it was.
   std::vector<uint8_t> corrupt = snapshot;
   corrupt.resize(corrupt.size() - 3);
   EXPECT_FALSE(pool.AddQueryFromSnapshot(corrupt).ok());
   EXPECT_EQ(pool.num_queries(), 2);
-  EXPECT_EQ(pool.SerializeQuery(*index), snapshot);
+  EXPECT_EQ(pool.SerializeQuery(*index), canonical);
 }
 
 TEST(SpringBatchPoolTest, MidStreamAddedQueryKeepsOwnClock) {
@@ -289,7 +325,8 @@ TEST(SpringBatchPoolTest, MidStreamAddedQueryKeepsOwnClock) {
     Push(&pool, stream[t], &reports);
     late_reference.Update(stream[t], &match);
   }
-  EXPECT_EQ(pool.SerializeQuery(late), late_reference.SerializeState());
+  EXPECT_EQ(pool.SerializeQuery(late),
+            Canonical(late_reference.SerializeState()));
 }
 
 TEST(SpringBatchPoolTest, RandomStreamsBitwiseEquivalent) {
@@ -379,8 +416,65 @@ TEST(SpringBatchPoolTest, RowPoolMatchesVectorSpringMatcher) {
   }
   for (size_t q = 0; q < reference.size(); ++q) {
     EXPECT_EQ(pool.SerializeQuery(static_cast<int64_t>(q)),
-              reference[q].SerializeState());
+              Canonical<VectorSpringPool>(reference[q].SerializeState(), 2));
   }
+}
+
+// The paper's Figure 5 example (docs/ALGORITHM.md §7), ε = 15. Derived by
+// hand from the STWM: t=0 computes row 1 (d=36 > ε) and stops; t=1 row 1
+// (d=1) and row 2 (d=37 > ε); t=2 rows 1-2 and, through d(2,2)=1 and
+// d(2,3)=10, rows 3-4, reaching d(2,4)=14. From then on the frontier
+// stays at row 3 or 4, so every tick computes all four rows; the report at
+// t=6 kills rows 2-4, leaving the frontier at row 1.
+TEST(SpringBatchPoolTest, Figure5PoolComputesTheEpsilonFrontier) {
+  const std::vector<double> x = {5, 12, 6, 10, 6, 5, 13};
+  SpringOptions options;
+  options.epsilon = 15.0;
+  SpringBatchPool pool;
+  pool.AddQuery({11, 6, 9, 4}, options);
+  const int64_t expected_cells[] = {1, 2, 4, 4, 4, 4, 4};
+  std::vector<SpringBatchPool::Report> reports;
+  int64_t before = 0;
+  for (size_t t = 0; t < x.size(); ++t) {
+    Push(&pool, x[t], &reports);
+    EXPECT_EQ(pool.cells_computed_total(0) - before, expected_cells[t])
+        << "tick " << t;
+    before = pool.cells_computed_total(0);
+  }
+  // The report Figure5Test checks: X[1:4], distance 6, at tick 6.
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].match.start, 1);
+  EXPECT_EQ(reports[0].match.end, 4);
+  EXPECT_EQ(reports[0].match.distance, 6.0);
+  EXPECT_EQ(reports[0].match.report_time, 6);
+}
+
+// MaskedChirp tapes (paper Section 5.1) with calibrated thresholds: the
+// pool computes at most half of the full columns' cells, and reports bit
+// for bit what one SpringMatcher per query reports.
+TEST(SpringBatchPoolTest, MaskedChirpPoolComputesAtMostHalfTheCells) {
+  constexpr int64_t kM = 256;
+  int64_t full_cells = 0;
+  PoolRun run;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    gen::MaskedChirpOptions chirp;
+    chirp.length = 12000;
+    chirp.num_episodes = 2;
+    chirp.seed = seed;
+    const gen::MaskedChirpData data = gen::GenerateMaskedChirp(chirp, kM);
+    std::vector<std::pair<int64_t, int64_t>> regions;
+    for (const gen::PlantedEvent& event : data.events) {
+      regions.emplace_back(event.start, event.start + event.length - 1);
+    }
+    SpringOptions options;
+    options.epsilon = CalibrateEpsilon(data.stream, data.query, regions);
+    ExpectPoolMatchesReference({data.query.values()}, {options},
+                               data.stream.values(), /*flush=*/true, &run);
+    full_cells += data.stream.size() * kM;
+  }
+  EXPECT_GT(run.reports, 0) << "calibrated thresholds must report matches";
+  EXPECT_LE(2 * run.cells, full_cells)
+      << run.cells << " of " << full_cells << " cells computed";
 }
 
 TEST(SpringBatchPoolTest, FootprintCoversRows) {

@@ -6,6 +6,10 @@
 // kernel and the engine, which same-build comparisons cannot do.
 // golden_engine_v2.spre is the same engine written as SPRE v2; it is frozen
 // (never regenerated) and must restore to the v3 fixture's bytes.
+// golden_engine_full_rows.spre and golden_sharded_full_rows.sprm are the
+// same checkpoints as written before the pools pruned to the ε-frontier,
+// with full STWM rows; they are frozen too, must restore to the canonical
+// fixtures' bytes, and must resume with the same matches.
 //
 // The workload covers NaN repair, scalar and vector queries, an epsilon = 0
 // query, length-bounded queries, a query attached mid-stream, a removed
@@ -15,6 +19,7 @@
 // with SPRINGDTW_GOLDEN_OUT=<dir>; it writes golden_engine.spre and
 // golden_sharded.sprm there.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -40,6 +45,8 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr char kEngineFixture[] = "golden_engine.spre";
 constexpr char kEngineV2Fixture[] = "golden_engine_v2.spre";
 constexpr char kShardedFixture[] = "golden_sharded.sprm";
+constexpr char kEngineFullRowsFixture[] = "golden_engine_full_rows.spre";
+constexpr char kShardedFullRowsFixture[] = "golden_sharded_full_rows.sprm";
 
 core::SpringOptions Options(double epsilon, int64_t max_len = 0,
                             int64_t min_len = 0,
@@ -215,6 +222,90 @@ TEST(GoldenCheckpointTest, FixturesRestoreAndReserializeIdentically) {
   ShardedMonitor monitor(options);
   ASSERT_TRUE(monitor.RestoreState(sharded_bytes).ok());
   EXPECT_EQ(monitor.SerializeState(), sharded_bytes);
+}
+
+/// Restores `fixture` into a fresh engine, feeds every stream the same
+/// continuation and flushes; returns the matches delivered.
+std::vector<CollectSink::Entry> ResumeEngine(const char* fixture) {
+  MonitorEngine engine;
+  CollectSink sink;
+  engine.AddSink(&sink);
+  EXPECT_TRUE(engine.RestoreState(ReadFixture(fixture)).ok());
+  const std::vector<double> tail = Stream(404, 300, /*with_nan=*/true);
+  for (const double x : tail) {
+    for (int64_t stream = 0; stream < engine.num_streams(); ++stream) {
+      EXPECT_TRUE(engine.Push(stream, x).ok() || std::isnan(x));
+    }
+  }
+  const std::vector<double> rows = Stream(505, 300, /*with_nan=*/false);
+  for (size_t t = 0; t + 1 < rows.size(); t += 2) {
+    const double row[2] = {rows[t], rows[t + 1]};
+    for (int64_t stream = 0; stream < engine.num_vector_streams(); ++stream) {
+      EXPECT_TRUE(engine.PushRow(stream, row).ok());
+    }
+  }
+  engine.FlushAll();
+  return sink.entries();
+}
+
+/// The same for a 2-worker sharded monitor.
+std::vector<CollectSink::Entry> ResumeSharded(const char* fixture) {
+  ShardedMonitorOptions options;
+  options.num_workers = 2;
+  ShardedMonitor monitor(options);
+  CollectSink sink;
+  monitor.AddSink(&sink);
+  EXPECT_TRUE(monitor.RestoreState(ReadFixture(fixture)).ok());
+  monitor.Start();
+  const std::vector<double> tail = Stream(606, 300, /*with_nan=*/false);
+  for (const double x : tail) {
+    for (int64_t stream = 0; stream < 3; ++stream) {
+      EXPECT_TRUE(monitor.Push(stream, x).ok());
+    }
+  }
+  monitor.FlushAll();
+  monitor.Stop();
+  return sink.entries();
+}
+
+void ExpectSameMatches(const std::vector<CollectSink::Entry>& got,
+                       const std::vector<CollectSink::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].origin.query_name, want[i].origin.query_name);
+    EXPECT_EQ(got[i].match.start, want[i].match.start);
+    EXPECT_EQ(got[i].match.end, want[i].match.end);
+    EXPECT_EQ(got[i].match.distance, want[i].match.distance);
+    EXPECT_EQ(got[i].match.report_time, want[i].match.report_time);
+  }
+}
+
+TEST(GoldenCheckpointTest, FullRowFixturesRestoreToCanonicalBytes) {
+  MonitorEngine engine;
+  ASSERT_TRUE(engine.RestoreState(ReadFixture(kEngineFullRowsFixture)).ok());
+  EXPECT_NE(ReadFixture(kEngineFullRowsFixture), ReadFixture(kEngineFixture));
+  EXPECT_EQ(engine.SerializeState(), ReadFixture(kEngineFixture));
+
+  ShardedMonitorOptions options;
+  options.num_workers = 2;
+  ShardedMonitor monitor(options);
+  ASSERT_TRUE(
+      monitor.RestoreState(ReadFixture(kShardedFullRowsFixture)).ok());
+  EXPECT_NE(ReadFixture(kShardedFullRowsFixture),
+            ReadFixture(kShardedFixture));
+  EXPECT_EQ(monitor.SerializeState(), ReadFixture(kShardedFixture));
+}
+
+TEST(GoldenCheckpointTest, FullRowFixturesResumeWithTheSameMatches) {
+  const std::vector<CollectSink::Entry> engine_matches =
+      ResumeEngine(kEngineFixture);
+  EXPECT_FALSE(engine_matches.empty());
+  ExpectSameMatches(ResumeEngine(kEngineFullRowsFixture), engine_matches);
+
+  const std::vector<CollectSink::Entry> sharded_matches =
+      ResumeSharded(kShardedFixture);
+  EXPECT_FALSE(sharded_matches.empty());
+  ExpectSameMatches(ResumeSharded(kShardedFullRowsFixture), sharded_matches);
 }
 
 TEST(GoldenCheckpointTest, EngineV2FixtureRestoresToV3Bytes) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/spring.h"
+#include "core/spring_batch.h"
 #include "gtest/gtest.h"
 #include "monitor/engine.h"
 #include "monitor/sharded_monitor.h"
@@ -379,8 +380,15 @@ TEST(MonitorIntrospectTest, SpanQueryzStreamzEndpointsServeJson) {
   const std::string queryz = HttpGet(port, "/queryz");
   EXPECT_NE(queryz.find("HTTP/1.1 200 OK"), std::string::npos) << queryz;
   EXPECT_NE(queryz.find("\"name\":\"q0\""), std::string::npos) << queryz;
-  EXPECT_NE(queryz.find("\"cells\":3000"), std::string::npos)
-      << "m=3 x 1000 ticks: " << queryz;
+  // The recount: a standalone pool fed the same ticks computes the same
+  // ε-frontier cells.
+  core::SpringBatchPool recount;
+  recount.AddQuery({1.0, 2.0, 3.0}, MatchingOptions());
+  recount.PushBatch(PlantedStream(1000), nullptr);
+  EXPECT_NE(queryz.find("\"cells\":" +
+                        std::to_string(recount.cells_computed_total(0))),
+            std::string::npos)
+      << queryz;
 
   const std::string streamz = HttpGet(port, "/streamz");
   EXPECT_NE(streamz.find("HTTP/1.1 200 OK"), std::string::npos) << streamz;

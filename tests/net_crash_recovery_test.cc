@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -95,11 +96,16 @@ std::vector<Chunk> Workload(uint64_t seed, int64_t chunks,
   return out;
 }
 
+// The query a late-query case adds to s0 over the wire mid-stream.
+QuerySpec LateQuery() { return {"s0", "q-late", {3.0, 1.0, 3.0}, 1.0}; }
+
 // The uninterrupted run, executed in-process. Match fields depend only on
 // each stream's tick sequence, which the wire runs reproduce exactly, so
-// this is the byte-level ground truth for any worker count.
+// this is the byte-level ground truth for any worker count. With
+// `late_at` >= 0, LateQuery() is added just before chunk `late_at`.
 std::vector<MatchKey> DirectReference(int64_t workers,
-                                      const std::vector<Chunk>& chunks) {
+                                      const std::vector<Chunk>& chunks,
+                                      int64_t late_at = -1) {
   ShardedMonitorOptions options;
   options.num_workers = workers;
   ShardedMonitor ref(options);
@@ -113,9 +119,15 @@ std::vector<MatchKey> DirectReference(int64_t workers,
     SPRINGDTW_CHECK(added.ok());
   }
   ref.Start();
-  for (const auto& chunk : chunks) {
-    SPRINGDTW_CHECK(
-        ref.PushBatch(chunk.stream == "s0" ? s0 : s1, chunk.values).ok());
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    if (static_cast<int64_t>(c) == late_at) {
+      const QuerySpec late = LateQuery();
+      SPRINGDTW_CHECK(
+          ref.AddQuery(s0, late.name, late.values, Eps(late.epsilon)).ok());
+    }
+    SPRINGDTW_CHECK(ref.PushBatch(chunks[c].stream == "s0" ? s0 : s1,
+                                  chunks[c].values)
+                        .ok());
   }
   ref.Drain();
   ref.Stop();
@@ -236,25 +248,41 @@ INSTANTIATE_TEST_SUITE_P(
                       CrashCase{2, "interval", 12}),
     CaseName);
 
-TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
-  const CrashCase& param = GetParam();
+// One crash case: ingest until a randomized kill -9, restart on the same
+// WAL, resume from the accepted prefix, and compare the deduplicated
+// delivery with the uninterrupted run. With `late_query`, session 1 adds
+// LateQuery() over the wire halfway to the kill point, so the restart
+// recovers it from the admin checkpoint (written from the pools'
+// canonical snapshots) and the WAL tail replays through pruned pools.
+void RunCrashCase(const CrashCase& param, bool late_query) {
   const int64_t kChunks = 40;
   const int64_t kChunkSize = 25;
   const std::vector<Chunk> chunks =
       Workload(/*seed=*/20260808, kChunks, kChunkSize);
-  const std::vector<MatchKey> expected =
-      DirectReference(param.workers, chunks);
-  ASSERT_FALSE(expected.empty()) << "workload must exercise match fan-out";
-
-  const std::string wal_dir =
-      FreshWalDir("w" + std::to_string(param.workers) + "_" + param.fsync +
-                  "_k" + std::to_string(param.kill_seed));
 
   // Randomized mid-ingest kill point: somewhere in the middle half.
   util::Rng rng(param.kill_seed);
   const int64_t kill_after =
       kChunks / 4 +
       static_cast<int64_t>(rng.UniformInt(0, static_cast<int>(kChunks / 2)));
+  const int64_t late_at = late_query ? kill_after / 2 : -1;
+
+  const std::vector<MatchKey> expected =
+      DirectReference(param.workers, chunks, late_at);
+  ASSERT_FALSE(expected.empty()) << "workload must exercise match fan-out";
+  if (late_query) {
+    const auto late_matches =
+        std::count_if(expected.begin(), expected.end(),
+                      [](const MatchKey& key) {
+                        return std::get<1>(key) == LateQuery().name;
+                      });
+    ASSERT_GT(late_matches, 0) << "the late query must deliver matches";
+  }
+
+  const std::string wal_dir =
+      FreshWalDir(std::string(late_query ? "late_" : "") + "w" +
+                  std::to_string(param.workers) + "_" + param.fsync + "_k" +
+                  std::to_string(param.kill_seed));
 
   // --- Session 1: ingest until the crash. ------------------------------
   std::vector<MatchEventPayload> session1_events;
@@ -277,6 +305,12 @@ TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
     }
     ASSERT_TRUE(client.SubscribeMatches().ok());
     for (int64_t c = 0; c < kill_after; ++c) {
+      if (c == late_at) {
+        const QuerySpec late = LateQuery();
+        auto added =
+            client.AddQuery(*s0, late.name, late.values, Eps(late.epsilon));
+        ASSERT_TRUE(added.ok()) << added.status().ToString();
+      }
       const util::Status sent = client.TickBatch(
           chunks[static_cast<size_t>(c)].stream == "s0" ? *s0 : *s1,
           chunks[static_cast<size_t>(c)].values);
@@ -314,7 +348,7 @@ TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
     // must have survived it — exactly-once admin.
     auto queries = client.ListQueries();
     ASSERT_TRUE(queries.ok());
-    EXPECT_EQ(queries->size(), Topology().size());
+    EXPECT_EQ(queries->size(), Topology().size() + (late_query ? 1 : 0));
 
     // TICK_BATCH frames are applied atomically (logged before ack, whole
     // frame or nothing), so the accepted ticks are a whole-chunk prefix of
@@ -335,6 +369,8 @@ TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
         << "accepted ticks are not a chunk prefix: s0=" << held_s0
         << " s1=" << held_s1;
     ASSERT_LE(resume_at, kill_after);
+    // The late query's admin checkpoint holds every tick sent before it.
+    ASSERT_GE(resume_at, late_at);
 
     ASSERT_TRUE(client.SubscribeMatches().ok());
     for (int64_t c = resume_at; c < kChunks; ++c) {
@@ -380,6 +416,25 @@ TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
       << " (session1=" << session1_events.size()
       << " session2=" << session2_events.size()
       << " duplicates=" << duplicates << ")";
+}
+
+TEST_P(CrashRecoveryTest, ExactlyOnceAcrossSigkill) {
+  RunCrashCase(GetParam(), /*late_query=*/false);
+}
+
+// A query added over the wire mid-stream, before the kill point: it must
+// survive the crash and deliver exactly once.
+class LateQueryCrashRecoveryTest
+    : public ::testing::TestWithParam<CrashCase> {};
+
+INSTANTIATE_TEST_SUITE_P(LateQuery, LateQueryCrashRecoveryTest,
+                         ::testing::Values(CrashCase{1, "os", 13},
+                                           CrashCase{2, "every_record", 14},
+                                           CrashCase{8, "interval", 15}),
+                         CaseName);
+
+TEST_P(LateQueryCrashRecoveryTest, ExactlyOnceWithQueryAddedMidStream) {
+  RunCrashCase(GetParam(), /*late_query=*/true);
 }
 
 }  // namespace

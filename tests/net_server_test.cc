@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/spring.h"
+#include "core/spring_batch.h"
 #include "gtest/gtest.h"
 #include "monitor/sharded_monitor.h"
 #include "monitor/sink.h"
@@ -367,15 +368,25 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
         << "the net server finalizer stamps after fan-out";
   }
 
-  // LIST_QUERIES with stats over the wire: cost columns recount exactly.
+  // LIST_QUERIES with stats over the wire: cost columns recount exactly,
+  // cells against a standalone one-query pool fed the same stream ticks.
   auto listed = client.ListQueries(/*with_stats=*/true);
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed->size(), 3u);
   for (const auto& entry : *listed) {
     const int64_t ticks = entry.stream_name == "s0" ? s0_ticks : s1_ticks;
-    const int64_t m = entry.name == "q-bump" ? 5 : 3;
     EXPECT_EQ(entry.ticks, ticks) << entry.name;
-    EXPECT_EQ(entry.cells, ticks * m) << entry.name;
+    for (const auto& spec : Topology()) {
+      if (spec.name != entry.name) continue;
+      core::SpringBatchPool recount;
+      recount.AddQuery(spec.values, Eps(spec.epsilon));
+      for (const auto& chunk : chunks) {
+        if (chunk.stream == spec.stream) {
+          recount.PushBatch(chunk.values, nullptr);
+        }
+      }
+      EXPECT_EQ(entry.cells, recount.cells_computed_total(0)) << entry.name;
+    }
   }
 
   client.Close();
