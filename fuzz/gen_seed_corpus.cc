@@ -48,7 +48,6 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
   };
 
   net::HelloPayload hello;
-  hello.version = net::kProtocolVersion;
   hello.peer_name = "fuzz";
   const std::vector<uint8_t> hello_wire =
       write_frame("hello.bin", net::FrameType::kHello, hello);
@@ -57,6 +56,12 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
   open_stream.request_id = 1;
   open_stream.name = "s0";
   write_frame("open_stream.bin", net::FrameType::kOpenStream, open_stream);
+
+  net::StreamOpenedPayload stream_opened;
+  stream_opened.request_id = 1;
+  stream_opened.ticks = 4096;
+  write_frame("stream_opened.bin", net::FrameType::kStreamOpened,
+              stream_opened);
 
   net::AddQueryPayload add_query;
   add_query.request_id = 2;
@@ -71,6 +76,7 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
   net::TickBatchPayload batch;
   batch.stream_id = 0;
   batch.values = {0.0, 1.0, 2.0, 3.0, 2.0, 1.0};
+  batch.send_nanos = 987654321;
   const std::vector<uint8_t> batch_wire =
       write_frame("tick_batch.bin", net::FrameType::kTickBatch, batch);
 
@@ -81,7 +87,13 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
   event.match.start = 3;
   event.match.end = 7;
   event.match.report_time = 8;
+  event.match_seq = 8;
   write_frame("match_event.bin", net::FrameType::kMatchEvent, event);
+
+  net::ListQueriesPayload list_queries;
+  list_queries.request_id = 3;
+  const std::vector<uint8_t> list_queries_wire = write_frame(
+      "list_queries.bin", net::FrameType::kListQueries, list_queries);
 
   net::QueryListPayload list;
   list.request_id = 3;
@@ -89,6 +101,9 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
   entry.name = "q";
   entry.stream_name = "s0";
   entry.ticks = 6;
+  entry.cells = 4096;
+  entry.last_match_seq = 11;
+  entry.est_cpu_nanos = 250000;
   list.entries.push_back(entry);
   write_frame("query_list.bin", net::FrameType::kQueryList, list);
 
@@ -96,52 +111,13 @@ bool WriteNetFrameCorpus(const std::filesystem::path& dir) {
               net::MakeErrorPayload(
                   4, springdtw::util::NotFoundError("no such query")));
 
-  // Protocol-v2 shapes: the optional trailers only appear on the wire when
-  // set, so without these seeds the replay smoke never walks the trailer
-  // decode paths (send_nanos on TICK/TICK_BATCH, want_stats on
-  // LIST_QUERIES, the per-entry cost-stats block on QUERY_LIST).
-  net::TickPayload tick_stamped;
-  tick_stamped.stream_id = 0;
-  tick_stamped.value = 1.5;
-  tick_stamped.send_nanos = 123456789;
-  write_frame("tick_stamped.bin", net::FrameType::kTick, tick_stamped);
-
-  net::TickBatchPayload batch_stamped;
-  batch_stamped.stream_id = 0;
-  batch_stamped.values = {1.0, 2.0, 3.0};
-  batch_stamped.send_nanos = 987654321;
-  const std::vector<uint8_t> batch_stamped_wire = write_frame(
-      "tick_batch_stamped.bin", net::FrameType::kTickBatch, batch_stamped);
-
-  net::ListQueriesPayload list_stats;
-  list_stats.request_id = 5;
-  list_stats.want_stats = true;
-  const std::vector<uint8_t> list_stats_wire = write_frame(
-      "list_queries_stats.bin", net::FrameType::kListQueries, list_stats);
-
-  net::QueryListPayload list_with_stats = list;
-  list_with_stats.has_stats = true;
-  list_with_stats.entries[0].cells = 4096;
-  list_with_stats.entries[0].last_match_seq = 11;
-  list_with_stats.entries[0].est_cpu_nanos = 250000;
-  write_frame("query_list_stats.bin", net::FrameType::kQueryList,
-              list_with_stats);
-
-  // A v2 session prefix: HELLO, ADD_QUERY, stamped TICK_BATCH, and a
-  // stats-requesting LIST_QUERIES back to back through the cut loop.
-  std::vector<uint8_t> session_v2 = hello_wire;
-  session_v2.insert(session_v2.end(), add_query_wire.begin(),
-                    add_query_wire.end());
-  session_v2.insert(session_v2.end(), batch_stamped_wire.begin(),
-                    batch_stamped_wire.end());
-  session_v2.insert(session_v2.end(), list_stats_wire.begin(),
-                    list_stats_wire.end());
-  ok = WriteFile(dir / "session_v2.bin", session_v2) && ok;
-
-  // A realistic session prefix: HELLO, ADD_QUERY, TICK_BATCH back to back.
+  // A realistic session prefix: HELLO, ADD_QUERY, TICK_BATCH and
+  // LIST_QUERIES back to back.
   std::vector<uint8_t> session = hello_wire;
   session.insert(session.end(), add_query_wire.begin(), add_query_wire.end());
   session.insert(session.end(), batch_wire.begin(), batch_wire.end());
+  session.insert(session.end(), list_queries_wire.begin(),
+                 list_queries_wire.end());
   ok = WriteFile(dir / "session.bin", session) && ok;
   return ok;
 }

@@ -19,9 +19,10 @@
 #   fuzz-smoke  Replays the seed corpora through the fuzz harnesses
 #   bench-smoke Runs bench_scaleout on a small workload (fails if the
 #               batched single-thread path loses to the scalar path) and a
-#               reduced bench_fig7_walltime; drops BENCH_scaleout.json and
-#               BENCH_fig7.json at the repo root, validated with
-#               springdtw_metrics_check, then compares each fresh blob
+#               reduced bench_fig7_walltime and bench_net_ingest --smoke;
+#               writes fresh BENCH_*.json blobs to a temp dir (the
+#               committed ones at the repo root stay untouched), validates
+#               them with springdtw_metrics_check, then compares each
 #               against the committed baseline with scripts/bench_diff.py
 #               (warn-only: baselines come from other hardware)
 #   introspect-smoke
@@ -183,38 +184,38 @@ leg_fuzz_smoke() {
 }
 
 leg_bench_smoke() {
-  # Snapshot the committed baselines before the benches overwrite them;
-  # bench_diff compares fresh numbers against them warn-only (hardware
-  # varies between the machine that committed a baseline and this one, so
-  # regressions print but never fail the leg).
-  local diff_dir
-  diff_dir="$(mktemp -d)" || return 1
-  cp BENCH_scaleout.json BENCH_fig7.json BENCH_net.json "$diff_dir/" \
-    2>/dev/null
+  # The fresh blobs go to a temp dir, so the committed baselines at the
+  # repo root stay untouched; bench_diff compares fresh numbers against
+  # them warn-only (hardware varies between the machine that committed a
+  # baseline and this one, so regressions print but never fail the leg).
+  local fresh
+  fresh="$(mktemp -d)" || return 1
   cmake --preset default &&
     cmake --build --preset default -j"$JOBS" \
       --target bench_scaleout bench_fig7_walltime springdtw_metrics_check &&
-    ./build/bench/bench_scaleout --smoke --json_out=BENCH_scaleout.json &&
+    ./build/bench/bench_scaleout --smoke \
+      --json_out="$fresh/BENCH_scaleout.json" &&
     ./build/bench/bench_fig7_walltime --max_n=100000 --overhead_n=50000 \
-      --json_out=BENCH_fig7.json &&
-    ./build/tools/springdtw_metrics_check --in=BENCH_scaleout.json \
+      --json_out="$fresh/BENCH_fig7.json" &&
+    ./build/tools/springdtw_metrics_check --in="$fresh/BENCH_scaleout.json" \
       --require=bench_scaleout_ticks_per_sec,bench_scaleout_batch_speedup &&
-    ./build/tools/springdtw_metrics_check --in=BENCH_fig7.json \
+    ./build/tools/springdtw_metrics_check --in="$fresh/BENCH_fig7.json" \
       --require=bench_spring_us_per_tick,bench_engine_metrics_overhead_pct &&
     cmake --build --preset default -j"$JOBS" --target bench_net_ingest &&
-    ./build/bench/bench_net_ingest --smoke --json_out=BENCH_net.json &&
-    ./build/tools/springdtw_metrics_check --in=BENCH_net.json \
+    ./build/bench/bench_net_ingest --smoke \
+      --json_out="$fresh/BENCH_net.json" &&
+    ./build/tools/springdtw_metrics_check --in="$fresh/BENCH_net.json" \
       --require=bench_net_ingest_ticks_per_sec,bench_net_ingest_wire_overhead,bench_net_ingest_tracing_overhead_pct,bench_net_ingest_wal_overhead_pct,bench_net_ingest_timeline_overhead_pct ||
-    { rm -rf "$diff_dir"; return 1; }
+    { rm -rf "$fresh"; return 1; }
   local bench
   for bench in BENCH_scaleout.json BENCH_fig7.json BENCH_net.json; do
-    if [ -f "$diff_dir/$bench" ]; then
+    if [ -f "$bench" ]; then
       echo "--- bench_diff $bench (vs committed baseline, warn-only) ---"
       python3 scripts/bench_diff.py --warn-only --quiet \
-        "$diff_dir/$bench" "$bench"
+        "$bench" "$fresh/$bench"
     fi
   done
-  rm -rf "$diff_dir"
+  rm -rf "$fresh"
 }
 
 # One HTTP GET over bash's /dev/tcp (no curl dependency in the container);

@@ -187,8 +187,8 @@ class ShardedMonitor {
   /// shard. Fails (kFailedPrecondition) unless started. Matches produced by
   /// these values are buffered until the next barrier. `client_send_nanos`,
   /// when nonzero, is the producer's monotonic send stamp (the wire
-  /// protocol's v2 TICK trailer); if a value of the run is span-sampled it
-  /// becomes the span's client_send stage.
+  /// protocol's TICK_BATCH `send_nanos`); if a value of the run is
+  /// span-sampled it becomes the span's client_send stage.
   util::Status PushBatch(int64_t stream_id, std::span<const double> values,
                          uint64_t client_send_nanos = 0);
 
@@ -233,7 +233,7 @@ class ShardedMonitor {
   uint64_t next_seq() const { return next_seq_; }
 
   /// Values routed to `stream_id` so far — the durable per-stream position
-  /// a resuming producer should skip to (the STREAM_OPENED ticks trailer).
+  /// a resuming producer should skip to (the STREAM_OPENED tick count).
   int64_t stream_ticks(int64_t stream_id) const;
 
   /// Per-query counters, fresh as of the last barrier.
@@ -312,7 +312,7 @@ class ShardedMonitor {
     /// Span sampling: index into values[] of the sampled tick, or -1 when
     /// no tick in this message is sampled. The recv stamp was taken when
     /// the router accepted the value; client_send comes from the wire
-    /// trailer (0 for in-process pushes).
+    /// send stamp (0 for in-process pushes).
     int32_t span_index = -1;
     uint64_t span_client_send_nanos = 0;
     uint64_t span_recv_nanos = 0;

@@ -35,14 +35,8 @@ void StreamClient::Close() {
     close(fd_);
     fd_ = -1;
   }
-  negotiated_version_ = 0;
   send_buffer_.clear();
   recv_buffer_.clear();
-}
-
-uint64_t StreamClient::TickSendStamp() const {
-  if (!options_.stamp_send_times || negotiated_version_ < 2) return 0;
-  return static_cast<uint64_t>(util::Stopwatch::NowNanos());
 }
 
 util::Status StreamClient::ConnectOnce() {
@@ -97,7 +91,6 @@ util::Status StreamClient::Connect() {
   SPRINGDTW_RETURN_IF_ERROR(status);
 
   HelloPayload hello;
-  hello.version = kProtocolVersion;
   hello.peer_name = options_.peer_name;
   std::vector<uint8_t> bytes;
   AppendPayloadFrame(FrameType::kHello, hello, &bytes);
@@ -131,14 +124,12 @@ util::Status StreamClient::Connect() {
     Close();
     return status;
   }
-  // The server acks min(client, server); a server claiming more than we
-  // offered is broken (we would emit trailers it cannot have meant).
-  if (ack.version > kProtocolVersion || ack.version < kMinProtocolVersion) {
+  if (ack.version != kProtocolVersion) {
     Close();
-    return util::InternalError(
-        util::StrFormat("server acked protocol version %u", ack.version));
+    return util::InternalError(util::StrFormat(
+        "server acked protocol version %u, client speaks version %u",
+        ack.version, kProtocolVersion));
   }
-  negotiated_version_ = ack.version;
   return util::Status::Ok();
 }
 
@@ -263,10 +254,9 @@ util::StatusOr<int64_t> StreamClient::RemoveQuery(int64_t query_id) {
 }
 
 util::StatusOr<std::vector<QueryListPayload::Entry>>
-StreamClient::ListQueries(bool with_stats) {
+StreamClient::ListQueries() {
   ListQueriesPayload request;
   request.request_id = next_request_id_++;
-  request.want_stats = with_stats && negotiated_version_ >= 2;
   QueryListPayload response;
   SPRINGDTW_RETURN_IF_ERROR(Call(FrameType::kListQueries, request,
                                  request.request_id, FrameType::kQueryList,
@@ -282,17 +272,6 @@ util::Status StreamClient::SubscribeMatches() {
               FrameType::kSubscribed, &response);
 }
 
-util::Status StreamClient::Tick(int64_t stream_id, double value) {
-  if (!connected()) return util::FailedPreconditionError("not connected");
-  TickPayload tick;
-  tick.stream_id = stream_id;
-  tick.value = value;
-  tick.send_nanos = TickSendStamp();
-  AppendPayloadFrame(FrameType::kTick, tick, &send_buffer_);
-  if (send_buffer_.size() >= options_.tick_flush_bytes) return Flush();
-  return util::Status::Ok();
-}
-
 util::Status StreamClient::TickBatch(int64_t stream_id,
                                      std::span<const double> values) {
   if (!connected()) return util::FailedPreconditionError("not connected");
@@ -305,7 +284,7 @@ util::Status StreamClient::TickBatch(int64_t stream_id,
     batch.stream_id = stream_id;
     batch.values.assign(values.begin() + static_cast<ptrdiff_t>(offset),
                         values.begin() + static_cast<ptrdiff_t>(offset + count));
-    batch.send_nanos = TickSendStamp();
+    batch.send_nanos = static_cast<uint64_t>(util::Stopwatch::NowNanos());
     AppendPayloadFrame(FrameType::kTickBatch, batch, &send_buffer_);
     offset += count;
     if (send_buffer_.size() >= options_.tick_flush_bytes) {

@@ -30,11 +30,6 @@ struct StreamClientOptions {
   size_t tick_flush_bytes = size_t{64} << 10;
   /// Sent in HELLO, for server logs.
   std::string peer_name = "springdtw_client";
-  /// Stamp a monotonic send time into TICK/TICK_BATCH frames (v2 trailer)
-  /// so the server's span tracer can measure the client_to_server stage.
-  /// Only effective when the negotiated protocol version is >= 2; costs
-  /// one clock read and 8 wire bytes per frame.
-  bool stamp_send_times = true;
 };
 
 /// Synchronous, single-threaded client for the springdtw wire protocol.
@@ -58,22 +53,19 @@ class StreamClient {
   /// Invoked for every MATCH_EVENT (set before SubscribeMatches).
   void SetMatchCallback(MatchCallback callback);
 
-  /// Connects (with retry/backoff) and runs the HELLO handshake.
+  /// Connects (with retry/backoff) and runs the HELLO handshake; a server
+  /// that acks another protocol version is refused.
   util::Status Connect();
   void Close();
   bool connected() const { return fd_ >= 0; }
-
-  /// Protocol version negotiated in the HELLO exchange (min of client and
-  /// server); 0 before Connect() succeeds.
-  uint32_t negotiated_version() const { return negotiated_version_; }
 
   /// Creates (or finds, by name — OPEN_STREAM is idempotent) a stream.
   util::StatusOr<int64_t> OpenStream(const std::string& name);
 
   /// Tick count the server reported for the stream in the last successful
-  /// OpenStream (v3 servers; -1 otherwise). Nonzero means the stream
-  /// already has history — the hook feeders use to resume a partially
-  /// ingested series after a server restart instead of re-sending it.
+  /// OpenStream (0 before the first). Nonzero means the stream already has
+  /// history — the hook feeders use to resume a partially ingested series
+  /// after a server restart instead of re-sending it.
   int64_t last_stream_ticks() const { return last_stream_ticks_; }
 
   /// Registers a query; returns the server's query id.
@@ -84,18 +76,16 @@ class StreamClient {
   /// Retires a query; returns the number of matches the removal flushed.
   util::StatusOr<int64_t> RemoveQuery(int64_t query_id);
 
-  /// With `with_stats` (v2 servers only) each entry additionally carries
-  /// the per-query cost columns (cells, last_match_seq, est_cpu_nanos).
-  util::StatusOr<std::vector<QueryListPayload::Entry>> ListQueries(
-      bool with_stats = false);
+  /// The live query table with its cost columns (cells, last_match_seq,
+  /// est_cpu_nanos), exact as of every tick sent before the call.
+  util::StatusOr<std::vector<QueryListPayload::Entry>> ListQueries();
 
   /// Starts MATCH_EVENT fan-out to this connection.
   util::Status SubscribeMatches();
 
-  /// Queues one tick (pipelined; see class comment).
-  util::Status Tick(int64_t stream_id, double value);
-
-  /// Queues a run of ticks, split into frames under the frame cap.
+  /// Queues a run of ticks (pipelined; see class comment), split into
+  /// frames under the frame cap, each stamped with its monotonic send time
+  /// for the server's span tracer.
   util::Status TickBatch(int64_t stream_id, std::span<const double> values);
 
   /// Writes out any buffered ticks. When the write fails, MATCH_EVENTs
@@ -123,15 +113,10 @@ class StreamClient {
   /// Blocking read of one frame (fills from the socket as needed).
   util::Status ReadFrame(Frame* frame);
 
-  /// Send stamp for the v2 tick trailer: now, or 0 when stamping is off or
-  /// the session negotiated v1 (the trailer must then stay off the wire).
-  uint64_t TickSendStamp() const;
-
   StreamClientOptions options_;
   MatchCallback match_callback_;
   int fd_ = -1;
-  uint32_t negotiated_version_ = 0;
-  int64_t last_stream_ticks_ = -1;
+  int64_t last_stream_ticks_ = 0;
   uint64_t next_request_id_ = 1;
   std::vector<uint8_t> send_buffer_;
   std::vector<uint8_t> recv_buffer_;

@@ -42,7 +42,6 @@ std::string_view FrameTypeName(FrameType type) {
     case FrameType::kSubscribeMatches: return "SUBSCRIBE_MATCHES";
     case FrameType::kSubscribed: return "SUBSCRIBED";
     case FrameType::kMatchEvent: return "MATCH_EVENT";
-    case FrameType::kTick: return "TICK";
     case FrameType::kTickBatch: return "TICK_BATCH";
     case FrameType::kCheckpoint: return "CHECKPOINT";
     case FrameType::kCheckpointed: return "CHECKPOINTED";
@@ -124,15 +123,13 @@ util::Status OpenStreamPayload::DecodeFrom(util::ByteReader* reader) {
 void StreamOpenedPayload::EncodeTo(util::ByteWriter* writer) const {
   writer->WriteU64(request_id);
   writer->WriteI64(stream_id);
-  // v3 trailer, omitted when unknown so the frame stays v1-identical.
-  if (ticks >= 0) writer->WriteI64(ticks);
+  writer->WriteI64(ticks);
 }
 
 util::Status StreamOpenedPayload::DecodeFrom(util::ByteReader* reader) {
   reader->ReadU64(&request_id);
   reader->ReadI64(&stream_id);
-  ticks = -1;
-  if (reader->ok() && !reader->AtEnd()) reader->ReadI64(&ticks);
+  reader->ReadI64(&ticks);
   return CheckDecode(*reader, "STREAM_OPENED");
 }
 
@@ -211,14 +208,10 @@ util::Status QueryRemovedPayload::DecodeFrom(util::ByteReader* reader) {
 
 void ListQueriesPayload::EncodeTo(util::ByteWriter* writer) const {
   writer->WriteU64(request_id);
-  // v2 trailer, omitted when false so the frame stays v1-identical.
-  if (want_stats) writer->WriteBool(want_stats);
 }
 
 util::Status ListQueriesPayload::DecodeFrom(util::ByteReader* reader) {
   reader->ReadU64(&request_id);
-  want_stats = false;
-  if (reader->ok() && !reader->AtEnd()) reader->ReadBool(&want_stats);
   return CheckDecode(*reader, "LIST_QUERIES");
 }
 
@@ -232,15 +225,9 @@ void QueryListPayload::EncodeTo(util::ByteWriter* writer) const {
     writer->WriteString(entry.stream_name);
     writer->WriteI64(entry.ticks);
     writer->WriteI64(entry.matches);
-  }
-  // v2 stats trailer: one row per entry, appended after all base rows so a
-  // stats-free reply remains byte-identical to v1.
-  if (has_stats) {
-    for (const Entry& entry : entries) {
-      writer->WriteI64(entry.cells);
-      writer->WriteI64(entry.last_match_seq);
-      writer->WriteI64(entry.est_cpu_nanos);
-    }
+    writer->WriteI64(entry.cells);
+    writer->WriteI64(entry.last_match_seq);
+    writer->WriteI64(entry.est_cpu_nanos);
   }
 }
 
@@ -249,7 +236,7 @@ util::Status QueryListPayload::DecodeFrom(util::ByteReader* reader) {
   uint64_t count = 0;
   reader->ReadU64(&count);
   // No reserve: the count is hostile until proven by actual bytes. Each
-  // entry is at least 48 bytes, so a bogus count fails fast on truncation.
+  // entry is at least 72 bytes, so a bogus count fails fast on truncation.
   entries.clear();
   for (uint64_t i = 0; i < count && reader->ok(); ++i) {
     Entry entry;
@@ -259,17 +246,10 @@ util::Status QueryListPayload::DecodeFrom(util::ByteReader* reader) {
     reader->ReadString(&entry.stream_name);
     reader->ReadI64(&entry.ticks);
     reader->ReadI64(&entry.matches);
+    reader->ReadI64(&entry.cells);
+    reader->ReadI64(&entry.last_match_seq);
+    reader->ReadI64(&entry.est_cpu_nanos);
     if (reader->ok()) entries.push_back(std::move(entry));
-  }
-  has_stats = false;
-  if (reader->ok() && !reader->AtEnd()) {
-    has_stats = true;
-    for (Entry& entry : entries) {
-      reader->ReadI64(&entry.cells);
-      reader->ReadI64(&entry.last_match_seq);
-      reader->ReadI64(&entry.est_cpu_nanos);
-      if (!reader->ok()) break;
-    }
   }
   return CheckDecode(*reader, "QUERY_LIST");
 }
@@ -304,9 +284,7 @@ void MatchEventPayload::EncodeTo(util::ByteWriter* writer) const {
   writer->WriteI64(match.report_time);
   writer->WriteI64(match.group_start);
   writer->WriteI64(match.group_end);
-  // v3 trailer, omitted for seq-less matches so the frame stays
-  // v1-identical.
-  if (match_seq >= 0) writer->WriteI64(match_seq);
+  writer->WriteI64(match_seq);
 }
 
 util::Status MatchEventPayload::DecodeFrom(util::ByteReader* reader) {
@@ -321,37 +299,20 @@ util::Status MatchEventPayload::DecodeFrom(util::ByteReader* reader) {
   reader->ReadI64(&match.report_time);
   reader->ReadI64(&match.group_start);
   reader->ReadI64(&match.group_end);
-  match_seq = -1;
-  if (reader->ok() && !reader->AtEnd()) reader->ReadI64(&match_seq);
+  reader->ReadI64(&match_seq);
   return CheckDecode(*reader, "MATCH_EVENT");
-}
-
-void TickPayload::EncodeTo(util::ByteWriter* writer) const {
-  writer->WriteI64(stream_id);
-  writer->WriteDouble(value);
-  // v2 trailer, omitted when unstamped so the frame stays v1-identical.
-  if (send_nanos != 0) writer->WriteU64(send_nanos);
-}
-
-util::Status TickPayload::DecodeFrom(util::ByteReader* reader) {
-  reader->ReadI64(&stream_id);
-  reader->ReadDouble(&value);
-  send_nanos = 0;
-  if (reader->ok() && !reader->AtEnd()) reader->ReadU64(&send_nanos);
-  return CheckDecode(*reader, "TICK");
 }
 
 void TickBatchPayload::EncodeTo(util::ByteWriter* writer) const {
   writer->WriteI64(stream_id);
   writer->WriteDoubleVector(values);
-  if (send_nanos != 0) writer->WriteU64(send_nanos);
+  writer->WriteU64(send_nanos);
 }
 
 util::Status TickBatchPayload::DecodeFrom(util::ByteReader* reader) {
   reader->ReadI64(&stream_id);
   reader->ReadDoubleVector(&values);
-  send_nanos = 0;
-  if (reader->ok() && !reader->AtEnd()) reader->ReadU64(&send_nanos);
+  reader->ReadU64(&send_nanos);
   return CheckDecode(*reader, "TICK_BATCH");
 }
 

@@ -29,38 +29,19 @@ namespace net {
 /// hostile-input discipline as the snapshot codec. Payloads are encoded
 /// with `util::ByteWriter` and decoded with `util::ByteReader`; a decode
 /// succeeds only when every field parses (`ok()`) and the payload is fully
-/// consumed (`AtEnd()`), so trailing garbage is an error rather than a
-/// forward-compatibility mechanism. Version negotiation is explicit: the
-/// client opens with HELLO carrying `kProtocolVersion`, the server answers
-/// HELLO_ACK carrying `min(client version, server version)` when the
-/// client's version falls inside [kMinProtocolVersion, kProtocolVersion]
-/// and ERROR (kFailedPrecondition) otherwise. Both sides then speak the
-/// acked version for the rest of the session. Version-gated fields are
-/// *trailers*: optional suffixes a peer appends only when the negotiated
-/// version permits AND the field is meaningful (a v2 TICK without a send
-/// timestamp is byte-identical to a v1 TICK), so a v1 session never sees
-/// bytes it cannot parse and the AtEnd() discipline still rejects garbage.
+/// consumed (`AtEnd()`), so trailing garbage is an error. Every payload
+/// field is always encoded: a payload's size depends only on the lengths
+/// of its strings and vectors, never on its values.
+///
+/// The client opens with HELLO carrying `kProtocolVersion` and the server
+/// answers HELLO_ACK with the same version; a peer that speaks another
+/// version is refused with a session-fatal ERROR.
 ///
 /// Requests that mutate or query server state carry a client-chosen
 /// `request_id` echoed in the response so a pipelining client can correlate
 /// replies. MATCH_EVENT frames are unsolicited (subscription-driven) and
 /// may interleave between a request and its response.
-///
-/// Version history:
-///  * v1 — initial protocol.
-///  * v2 — TICK / TICK_BATCH gain an optional `send_nanos` trailer (client
-///    monotonic send timestamp feeding the end-to-end span tracer);
-///    LIST_QUERIES gains a `want_stats` trailer and QUERY_LIST a per-entry
-///    cost-stats trailer (cells, last_match_seq, est_cpu_nanos).
-///  * v3 — MATCH_EVENT gains an optional `match_seq` trailer (the global
-///    tick sequence that produced the match, the durability layer's dedup
-///    key); STREAM_OPENED gains an optional `ticks` trailer (the server's
-///    durable per-stream position, letting a producer resume after a crash
-///    without double-feeding). See docs/DURABILITY.md.
-inline constexpr uint32_t kProtocolVersion = 3;
-
-/// Oldest client version the server still accepts.
-inline constexpr uint32_t kMinProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Default cap on the frame `length` field, applied by both server and
 /// client. One frame must fit a TICK_BATCH or a query template, not a whole
@@ -88,20 +69,20 @@ enum class FrameType : uint8_t {
   kSubscribed = 12,        // server -> client
   kMatchEvent = 13,        // server -> subscriber, unsolicited
   // Data plane.
-  kTick = 14,       // client -> server: one value on one stream
-  kTickBatch = 15,  // client -> server: contiguous values on one stream
+  kTickBatch = 14,  // client -> server: contiguous values on one stream
   // Lifecycle.
-  kCheckpoint = 16,    // client -> server: snapshot state to disk now
-  kCheckpointed = 17,  // server -> client
-  kDrain = 18,         // client -> server: barrier; all prior ticks applied
-  kDrainAck = 19,      // server -> client: all prior matches delivered
-  kError = 20,         // server -> client: failed request or fatal session
+  kCheckpoint = 15,    // client -> server: snapshot state to disk now
+  kCheckpointed = 16,  // server -> client
+  kDrain = 17,         // client -> server: barrier; all prior ticks applied
+  kDrainAck = 18,      // server -> client: all prior matches delivered
+  kError = 19,         // server -> client: failed request or fatal session
 };
 
 /// True for type bytes this build knows how to decode.
 bool KnownFrameType(uint8_t type);
 
-/// Stable display name ("HELLO", "TICK", ...); "UNKNOWN" for alien bytes.
+/// Stable display name ("HELLO", "TICK_BATCH", ...); "UNKNOWN" for alien
+/// bytes.
 std::string_view FrameTypeName(FrameType type);
 
 /// One decoded frame: the type byte plus its raw payload.
@@ -162,11 +143,10 @@ struct OpenStreamPayload {
 struct StreamOpenedPayload {
   uint64_t request_id = 0;
   int64_t stream_id = 0;
-  /// v3 trailer: values the server has already accepted for this stream
-  /// (its durable position after checkpoint restore + WAL replay); -1 =
-  /// absent. Encoded only when >= 0; a resuming producer skips this many
-  /// leading values (springdtw_feed --resume).
-  int64_t ticks = -1;
+  /// Values the server has already accepted for this stream (its durable
+  /// position after checkpoint restore + WAL replay); a resuming producer
+  /// skips this many leading values (springdtw_feed --resume).
+  int64_t ticks = 0;
 
   void EncodeTo(util::ByteWriter* writer) const;
   util::Status DecodeFrom(util::ByteReader* reader);
@@ -219,10 +199,6 @@ struct QueryRemovedPayload {
 
 struct ListQueriesPayload {
   uint64_t request_id = 0;
-  /// v2 trailer: ask the server to append per-query cost stats to the
-  /// QUERY_LIST reply. Encoded only when true, so the false case stays
-  /// byte-identical to v1.
-  bool want_stats = false;
 
   void EncodeTo(util::ByteWriter* writer) const;
   util::Status DecodeFrom(util::ByteReader* reader);
@@ -236,9 +212,9 @@ struct QueryListPayload {
     std::string stream_name;
     int64_t ticks = 0;
     int64_t matches = 0;
-    // v2 stats trailer (meaningful only when the payload's has_stats is
-    // set): STWM cells computed, global sequence of the last delivered
-    // match (-1 = none yet), and sampled per-query CPU estimate.
+    /// Cost columns (the /queryz view): STWM cells computed, global
+    /// sequence of the last delivered match (-1 = none yet), and sampled
+    /// per-query CPU estimate.
     int64_t cells = 0;
     int64_t last_match_seq = -1;
     int64_t est_cpu_nanos = 0;
@@ -246,11 +222,6 @@ struct QueryListPayload {
 
   uint64_t request_id = 0;
   std::vector<Entry> entries;
-  /// v2: true when the per-entry stats trailer is present. The trailer is
-  /// appended *after* all base entry rows, so a v1 decoder that stops at
-  /// the base rows would see trailing bytes — but v1 peers never set
-  /// want_stats, so they never receive it.
-  bool has_stats = false;
 
   void EncodeTo(util::ByteWriter* writer) const;
   util::Status DecodeFrom(util::ByteReader* reader);
@@ -279,23 +250,11 @@ struct MatchEventPayload {
   std::string stream_name;
   std::string query_name;
   core::Match match;
-  /// v3 trailer: global sequence of the tick that produced the match
-  /// (monitor::MatchOrigin::global_seq); -1 = absent (flush matches, or a
-  /// pre-v3 server). Encoded only when >= 0. Stable across a server
-  /// restart — the exactly-once dedup key, paired with query_id.
+  /// Global sequence of the tick that produced the match
+  /// (monitor::MatchOrigin::global_seq); -1 for flush matches, which have
+  /// no producing tick. Stable across a server restart — the exactly-once
+  /// dedup key, paired with query_id.
   int64_t match_seq = -1;
-
-  void EncodeTo(util::ByteWriter* writer) const;
-  util::Status DecodeFrom(util::ByteReader* reader);
-};
-
-struct TickPayload {
-  int64_t stream_id = 0;
-  double value = 0.0;
-  /// v2 trailer: client monotonic send timestamp (util::Stopwatch::
-  /// NowNanos() domain) for end-to-end span tracing; 0 = absent. Encoded
-  /// only when nonzero, so an unstamped v2 TICK is byte-identical to v1.
-  uint64_t send_nanos = 0;
 
   void EncodeTo(util::ByteWriter* writer) const;
   util::Status DecodeFrom(util::ByteReader* reader);
@@ -304,7 +263,8 @@ struct TickPayload {
 struct TickBatchPayload {
   int64_t stream_id = 0;
   std::vector<double> values;
-  /// v2 trailer: send timestamp of the batch (see TickPayload::send_nanos).
+  /// Client monotonic send timestamp (util::Stopwatch::NowNanos() domain)
+  /// for end-to-end span tracing; 0 = unstamped.
   uint64_t send_nanos = 0;
 
   void EncodeTo(util::ByteWriter* writer) const;

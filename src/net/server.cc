@@ -390,22 +390,16 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
       HelloPayload hello;
       util::Status status = DecodePayload(frame.payload, &hello);
       if (!status.ok()) return fatal_decode(status);
-      // Min-negotiation: a v1 client gets a v1 ack and a v1 session (no
-      // trailers on either side); clients newer than the server settle on
-      // the server's version.
-      if (hello.version < kMinProtocolVersion ||
-          hello.version > kProtocolVersion) {
+      if (hello.version != kProtocolVersion) {
         SendError(conn, 0,
                   util::FailedPreconditionError(util::StrFormat(
-                      "protocol version %u, server speaks %u..%u",
-                      hello.version, kMinProtocolVersion, kProtocolVersion)),
+                      "protocol version %u, server speaks version %u",
+                      hello.version, kProtocolVersion)),
                   /*fatal=*/true);
         return false;
       }
       conn->hello_done = true;
-      conn->negotiated_version = std::min(hello.version, kProtocolVersion);
       HelloAckPayload ack;
-      ack.version = conn->negotiated_version;
       ack.server_name = options_.server_name;
       Send(conn, FrameType::kHelloAck, ack);
       return true;
@@ -430,11 +424,9 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
         // ack, so the client's retry re-creates it: exactly-once admin.
         if (!CheckpointAfterAdmin(conn, req.request_id)) return false;
       }
-      // v3 trailer: the stream's durable position, so a resuming producer
-      // knows how much of its input the server already holds.
-      if (conn->negotiated_version >= 3) {
-        resp.ticks = monitor_->stream_ticks(resp.stream_id);
-      }
+      // The stream's durable position, so a resuming producer knows how
+      // much of its input the server already holds.
+      resp.ticks = monitor_->stream_ticks(resp.stream_id);
       Send(conn, FrameType::kStreamOpened, resp);
       return true;
     }
@@ -493,9 +485,9 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
       if (!status.ok()) return fatal_decode(status);
       QueryListPayload resp;
       resp.request_id = req.request_id;
-      // Stats ride a barrier: draining first makes the cached cost columns
-      // exact as of every tick this loop has routed.
-      if (req.want_stats) DrainIfDirty();
+      // A barrier first: the counts and cost columns are then exact as of
+      // every tick this loop has routed, pipelined ones included.
+      DrainIfDirty();
       for (const auto& entry : monitor_->ListQueries()) {
         QueryListPayload::Entry out;
         out.query_id = entry.query_id;
@@ -509,7 +501,6 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
         out.est_cpu_nanos = entry.est_cpu_nanos;
         resp.entries.push_back(std::move(out));
       }
-      resp.has_stats = req.want_stats && conn->negotiated_version >= 2;
       Send(conn, FrameType::kQueryList, resp);
       return true;
     }
@@ -529,19 +520,30 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
       }
       return true;
     }
-    case FrameType::kTick: {
-      TickPayload req;
-      util::Status status = DecodePayload(frame.payload, &req);
-      if (!status.ok()) return fatal_decode(status);
-      return RouteTicks(conn, req.stream_id,
-                        std::span<const double>(&req.value, 1),
-                        req.send_nanos);
-    }
     case FrameType::kTickBatch: {
       TickBatchPayload req;
       util::Status status = DecodePayload(frame.payload, &req);
       if (!status.ok()) return fatal_decode(status);
-      return RouteTicks(conn, req.stream_id, req.values, req.send_nanos);
+      // Write-ahead: the ticks are logged (and, under every_record, synced)
+      // before the monitor sees them, so anything that influences
+      // delivered output is replayable.
+      status = AppendWalTicks(req.stream_id, req.values);
+      if (status.ok()) {
+        status = monitor_->PushBatch(req.stream_id, req.values,
+                                     req.send_nanos);
+      }
+      if (!status.ok()) {
+        // Ticks are fire-and-forget; an undeliverable tick would silently
+        // desync the peer's view, so it ends the session.
+        SendError(conn, 0, status, /*fatal=*/true);
+        return false;
+      }
+      if (!req.values.empty()) {
+        ticks_routed_ += req.values.size();
+        if (!ticks_dirty_) oldest_tick_nanos_ = NowNanos();
+        ticks_dirty_ = true;
+      }
+      return true;
     }
     case FrameType::kCheckpoint: {
       CheckpointPayload req;
@@ -599,28 +601,6 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
                 /*fatal=*/true);
       return false;
     }
-  }
-  return true;
-}
-
-bool StreamServer::RouteTicks(Connection* conn, int64_t stream_id,
-                              std::span<const double> values,
-                              uint64_t send_nanos) {
-  // Write-ahead: the ticks are logged (and, under every_record, synced)
-  // before the monitor sees them, so anything that influences delivered
-  // output is replayable.
-  util::Status status = AppendWalTicks(stream_id, values);
-  if (status.ok()) status = monitor_->PushBatch(stream_id, values, send_nanos);
-  if (!status.ok()) {
-    // Ticks are fire-and-forget; an undeliverable tick would silently
-    // desync the peer's view, so it ends the session.
-    SendError(conn, 0, status, /*fatal=*/true);
-    return false;
-  }
-  if (!values.empty()) {
-    ticks_routed_ += values.size();
-    if (!ticks_dirty_) oldest_tick_nanos_ = NowNanos();
-    ticks_dirty_ = true;
   }
   return true;
 }
@@ -685,31 +665,15 @@ void StreamServer::FanOutMatch(const monitor::MatchOrigin& origin,
   event.query_name = origin.query_name;
   event.match = match;
   event.match_seq = origin.global_seq;
-  // Encode once per version actually present: v3 peers get the match_seq
-  // trailer, older peers a byte-identical-to-v2 frame (built lazily).
   frame_scratch_.clear();
   AppendPayloadFrame(FrameType::kMatchEvent, event, &frame_scratch_);
-  legacy_frame_scratch_.clear();
-  const auto frame_for = [&](const Connection& conn)
-      -> const std::vector<uint8_t>& {
-    if (conn.negotiated_version >= 3 || event.match_seq < 0) {
-      return frame_scratch_;
-    }
-    if (legacy_frame_scratch_.empty()) {
-      MatchEventPayload legacy = event;
-      legacy.match_seq = -1;
-      AppendPayloadFrame(FrameType::kMatchEvent, legacy,
-                         &legacy_frame_scratch_);
-    }
-    return legacy_frame_scratch_;
-  };
   if (only != nullptr) {
-    AppendEncoded(only, frame_for(*only));
+    AppendEncoded(only, frame_scratch_);
     return;
   }
   for (const auto& conn : connections_) {
     if (conn->fd < 0 || !conn->subscribed || conn->closing) continue;
-    AppendEncoded(conn.get(), frame_for(*conn));
+    AppendEncoded(conn.get(), frame_scratch_);
   }
 }
 

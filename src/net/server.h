@@ -90,10 +90,11 @@ struct StreamServerOptions {
 ///
 /// Admin requests that fail (bad stream/query id, invalid options) get an
 /// ERROR frame echoing their request_id; the connection stays usable.
-/// Session violations — frame before HELLO, version skew, unknown frame
-/// type, framing errors, a TICK for an unknown stream (fire-and-forget, so
-/// nothing weaker is visible to the peer) — get an ERROR with request_id 0
-/// and the connection is closed after the write flushes.
+/// Session violations — frame before HELLO, a HELLO at another protocol
+/// version, unknown frame type, framing errors, a TICK_BATCH for an
+/// unknown stream (fire-and-forget, so nothing weaker is visible to the
+/// peer) — get an ERROR with request_id 0 and the connection is closed
+/// after the write flushes.
 class StreamServer {
  public:
   /// Writes a checkpoint (implementation-defined destination) and returns
@@ -114,8 +115,8 @@ class StreamServer {
   void SetCheckpointFn(CheckpointFn fn);
 
   /// Set before Start(); not owned, must outlive the server. Enables
-  /// durable ingest (docs/DURABILITY.md): every accepted TICK/TICK_BATCH
-  /// is appended to the WAL *before* it reaches the monitor, delivery
+  /// durable ingest (docs/DURABILITY.md): every accepted TICK_BATCH is
+  /// appended to the WAL *before* it reaches the monitor, delivery
   /// watermarks are logged once subscriber sockets are flushed, every
   /// successful admin mutation forces a checkpoint (so the WAL tail always
   /// postdates a checkpoint that already contains the topology), and WAL
@@ -172,9 +173,6 @@ class StreamServer {
     /// Bytes of `out` already written to the socket.
     size_t out_offset = 0;
     bool hello_done = false;
-    /// Version agreed in HELLO: min(client, server), in
-    /// [kMinProtocolVersion, kProtocolVersion]. 0 before HELLO.
-    uint32_t negotiated_version = 0;
     bool subscribed = false;
     /// Flush remaining output, then close (set on fatal session errors).
     bool closing = false;
@@ -207,15 +205,10 @@ class StreamServer {
   /// Appends one fully framed byte run to `conn`'s output, enforcing the
   /// slow-subscriber cap. Every outgoing frame goes through here.
   void AppendEncoded(Connection* conn, std::span<const uint8_t> frame);
-  /// Encodes one MATCH_EVENT and appends it to every subscribed
-  /// connection, or to `only` alone (recovery-buffer fan-out). Encodes the
-  /// v3 trailer only for v3 peers.
+  /// Encodes one MATCH_EVENT once and appends it to every subscribed
+  /// connection, or to `only` alone (recovery-buffer fan-out).
   void FanOutMatch(const monitor::MatchOrigin& origin,
                    const core::Match& match, Connection* only);
-  /// TICK (a run of one) and TICK_BATCH: WAL append, monitor push, dirty
-  /// stamp. Returns false, with a fatal ERROR queued, when either fails.
-  bool RouteTicks(Connection* conn, int64_t stream_id,
-                  std::span<const double> values, uint64_t send_nanos);
   /// Logs ticks accepted for `stream_id` before they enter the monitor.
   util::Status AppendWalTicks(int64_t stream_id,
                               std::span<const double> values);
@@ -261,9 +254,6 @@ class StreamServer {
   uint64_t oldest_tick_nanos_ = 0;
   uint64_t last_checkpoint_nanos_ = 0;
   std::vector<uint8_t> frame_scratch_;
-  /// Second MATCH_EVENT encoding for pre-v3 subscribers (no match_seq
-  /// trailer), built lazily per match.
-  std::vector<uint8_t> legacy_frame_scratch_;
 
   /// Durable ingest state (loop thread only; null/empty when disabled).
   wal::WalWriter* wal_ = nullptr;

@@ -11,12 +11,12 @@ namespace obs {
 
 /// One end-to-end tick span: the monotonic timestamps a sampled tick
 /// collected while moving through the ingest pipeline, from the client's
-/// send stamp (optional wire trailer) to the subscriber fan-out write.
+/// send stamp (TICK_BATCH `send_nanos`) to the subscriber fan-out write.
 /// Fixed-size POD so the ring buffer never allocates after construction.
 ///
 /// Timestamps are util::Stopwatch::NowNanos() readings. A stage that did
 /// not happen for this tick is 0: client_send_nanos is 0 for ticks pushed
-/// in-process (no wire trailer), subscriber_write_nanos is 0 when no
+/// in-process (no wire stamp), subscriber_write_nanos is 0 when no
 /// network server fanned the delivery out. All nonzero stages are monotone
 /// in pipeline order — every stamp is taken on the same monotonic clock,
 /// each stage strictly after the previous one (client stamps come from the
@@ -26,7 +26,7 @@ struct TickSpan {
   /// Global ingest sequence number of the sampled tick.
   uint64_t seq = 0;
   int64_t stream_id = -1;
-  /// Client's send stamp from the TICK/TICK_BATCH trailer; 0 when absent.
+  /// Client's send stamp from the TICK_BATCH frame; 0 when unstamped.
   uint64_t client_send_nanos = 0;
   /// Router accepted the tick (ingest edge).
   uint64_t server_recv_nanos = 0;

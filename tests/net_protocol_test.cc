@@ -1,6 +1,7 @@
 // Wire protocol: framing (CutFrame partial/oversized/zero-length), typed
-// payload round-trips, hostile-input rejection (truncation at every byte,
-// trailing garbage, bogus counts), and the option-validation helpers.
+// payload round-trips, one fixed-size encoding per payload, hostile-input
+// rejection (truncation at every byte, trailing garbage, bogus counts), and
+// the option-validation helpers.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -20,10 +21,10 @@ namespace {
 
 TEST(FramingTest, AppendAndCutRoundTrip) {
   std::vector<uint8_t> wire;
-  TickPayload tick;
-  tick.stream_id = 7;
-  tick.value = 2.5;
-  AppendPayloadFrame(FrameType::kTick, tick, &wire);
+  TickBatchPayload batch;
+  batch.stream_id = 7;
+  batch.values = {2.5};
+  AppendPayloadFrame(FrameType::kTickBatch, batch, &wire);
   DrainPayload drain;
   drain.request_id = 42;
   AppendPayloadFrame(FrameType::kDrain, drain, &wire);
@@ -32,11 +33,11 @@ TEST(FramingTest, AppendAndCutRoundTrip) {
   size_t consumed = 0;
   ASSERT_TRUE(CutFrame(wire, kDefaultMaxFrameBytes, &frame, &consumed).ok());
   ASSERT_GT(consumed, 0u);
-  EXPECT_EQ(frame.type, FrameType::kTick);
-  TickPayload tick_out;
-  ASSERT_TRUE(DecodePayload(frame.payload, &tick_out).ok());
-  EXPECT_EQ(tick_out.stream_id, 7);
-  EXPECT_EQ(tick_out.value, 2.5);
+  EXPECT_EQ(frame.type, FrameType::kTickBatch);
+  TickBatchPayload batch_out;
+  ASSERT_TRUE(DecodePayload(frame.payload, &batch_out).ok());
+  EXPECT_EQ(batch_out.stream_id, 7);
+  EXPECT_EQ(batch_out.values, std::vector<double>{2.5});
 
   wire.erase(wire.begin(), wire.begin() + static_cast<ptrdiff_t>(consumed));
   ASSERT_TRUE(CutFrame(wire, kDefaultMaxFrameBytes, &frame, &consumed).ok());
@@ -164,8 +165,10 @@ TEST(PayloadTest, MatchEventRoundTrip) {
   payload.match.report_time = 25;
   payload.match.group_start = 9;
   payload.match.group_end = 21;
+  payload.match_seq = 24;
   CheckRoundTripAndHostility<MatchEventPayload>(payload, [](const auto& out) {
     EXPECT_EQ(out.delivery_seq, 11u);
+    EXPECT_EQ(out.match_seq, 24);
     EXPECT_EQ(out.match.start, 10);
     EXPECT_EQ(out.match.end, 20);
     EXPECT_EQ(out.match.distance, 0.5);
@@ -179,9 +182,11 @@ TEST(PayloadTest, TickBatchRoundTrip) {
   TickBatchPayload payload;
   payload.stream_id = 3;
   payload.values = {0.0, 1.0, 2.0, 3.0};
+  payload.send_nanos = 123456789;
   CheckRoundTripAndHostility<TickBatchPayload>(payload, [](const auto& out) {
     EXPECT_EQ(out.stream_id, 3);
     EXPECT_EQ(out.values.size(), 4u);
+    EXPECT_EQ(out.send_nanos, 123456789u);
   });
 }
 
@@ -195,12 +200,22 @@ TEST(PayloadTest, QueryListRoundTripAndBogusCount) {
   entry.stream_name = "s";
   entry.ticks = 100;
   entry.matches = 3;
+  entry.cells = 1200;
+  entry.last_match_seq = 97;
+  entry.est_cpu_nanos = 55555;
   payload.entries.push_back(entry);
+  entry.cells = 800;
+  entry.last_match_seq = -1;
   payload.entries.push_back(entry);
   CheckRoundTripAndHostility<QueryListPayload>(payload, [](const auto& out) {
     ASSERT_EQ(out.entries.size(), 2u);
     EXPECT_EQ(out.entries[1].ticks, 100);
     EXPECT_EQ(out.entries[1].stream_name, "s");
+    EXPECT_EQ(out.entries[0].cells, 1200);
+    EXPECT_EQ(out.entries[0].last_match_seq, 97);
+    EXPECT_EQ(out.entries[0].est_cpu_nanos, 55555);
+    EXPECT_EQ(out.entries[1].cells, 800);
+    EXPECT_EQ(out.entries[1].last_match_seq, -1);
   });
 
   // A hostile count with no entry bytes must fail without allocating.
@@ -211,73 +226,39 @@ TEST(PayloadTest, QueryListRoundTripAndBogusCount) {
   EXPECT_FALSE(DecodePayload(writer.buffer(), &hostile).ok());
 }
 
-// v2 trailers: the round-trip harness above cannot be used for stamped
-// payloads — truncating exactly at the trailer boundary is a *valid* v1
-// payload by design, not an error — so these check the compat property
-// directly: unstamped v2 == v1 bytes, and v1 bytes decode on a v2 peer.
-
-TEST(PayloadTest, TickSendStampTrailerRoundTripAndV1Compat) {
-  TickPayload stamped;
-  stamped.stream_id = 7;
-  stamped.value = 2.5;
-  stamped.send_nanos = 123456789;
-  const std::vector<uint8_t> v2_bytes = Encode(stamped);
-  TickPayload out;
-  ASSERT_TRUE(DecodePayload(v2_bytes, &out).ok());
-  EXPECT_EQ(out.stream_id, 7);
-  EXPECT_EQ(out.value, 2.5);
-  EXPECT_EQ(out.send_nanos, 123456789u);
-
-  // An unstamped v2 TICK is byte-identical to a v1 TICK.
-  TickPayload unstamped = stamped;
-  unstamped.send_nanos = 0;
-  const std::vector<uint8_t> v1_bytes = Encode(unstamped);
-  EXPECT_EQ(v1_bytes.size() + sizeof(uint64_t), v2_bytes.size());
-  EXPECT_TRUE(std::equal(v1_bytes.begin(), v1_bytes.end(), v2_bytes.begin()));
-
-  // v1 bytes decode on a v2 peer with the trailer at its default.
-  TickPayload from_v1;
-  from_v1.send_nanos = 99;  // must be overwritten, not left stale
-  ASSERT_TRUE(DecodePayload(v1_bytes, &from_v1).ok());
-  EXPECT_EQ(from_v1.send_nanos, 0u);
-  EXPECT_EQ(from_v1.value, 2.5);
-}
+// The send stamp and the cost columns were optional trailers before
+// version 4; they are fixed fields now. A stamp of 0 and default cost
+// columns still cost their bytes and decode as themselves, and the old
+// trailer-free bytes are a truncated frame that the decoder refuses.
 
 TEST(PayloadTest, TickBatchSendStampTrailerRoundTripAndV1Compat) {
   TickBatchPayload stamped;
   stamped.stream_id = 3;
   stamped.values = {0.0, 1.0, 2.0};
   stamped.send_nanos = 42;
+  const std::vector<uint8_t> stamped_bytes = Encode(stamped);
   TickBatchPayload out;
-  ASSERT_TRUE(DecodePayload(Encode(stamped), &out).ok());
-  EXPECT_EQ(out.values.size(), 3u);
+  ASSERT_TRUE(DecodePayload(stamped_bytes, &out).ok());
+  EXPECT_EQ(out.values, stamped.values);
   EXPECT_EQ(out.send_nanos, 42u);
 
   TickBatchPayload unstamped = stamped;
   unstamped.send_nanos = 0;
+  const std::vector<uint8_t> unstamped_bytes = Encode(unstamped);
+  EXPECT_EQ(unstamped_bytes.size(), stamped_bytes.size());
+  TickBatchPayload from_unstamped;
+  from_unstamped.send_nanos = 99;  // must be overwritten, not left stale
+  ASSERT_TRUE(DecodePayload(unstamped_bytes, &from_unstamped).ok());
+  EXPECT_EQ(from_unstamped.send_nanos, 0u);
+  EXPECT_EQ(from_unstamped.values, stamped.values);
+
+  // A v1 TICK_BATCH is the same bytes without the stamp.
+  util::ByteWriter v1;
+  v1.WriteI64(stamped.stream_id);
+  v1.WriteDoubleVector(stamped.values);
+  ASSERT_EQ(v1.buffer().size() + sizeof(uint64_t), stamped_bytes.size());
   TickBatchPayload from_v1;
-  from_v1.send_nanos = 99;
-  ASSERT_TRUE(DecodePayload(Encode(unstamped), &from_v1).ok());
-  EXPECT_EQ(from_v1.send_nanos, 0u);
-  EXPECT_EQ(from_v1.values, stamped.values);
-}
-
-TEST(PayloadTest, ListQueriesWantStatsTrailer) {
-  ListQueriesPayload plain;
-  plain.request_id = 8;
-  // want_stats=false stays byte-identical to v1 (request_id only).
-  EXPECT_EQ(Encode(plain).size(), sizeof(uint64_t));
-  ListQueriesPayload out;
-  out.want_stats = true;
-  ASSERT_TRUE(DecodePayload(Encode(plain), &out).ok());
-  EXPECT_FALSE(out.want_stats);
-  EXPECT_EQ(out.request_id, 8u);
-
-  ListQueriesPayload with_stats;
-  with_stats.request_id = 9;
-  with_stats.want_stats = true;
-  ASSERT_TRUE(DecodePayload(Encode(with_stats), &out).ok());
-  EXPECT_TRUE(out.want_stats);
+  EXPECT_FALSE(DecodePayload(v1.buffer(), &from_v1).ok());
 }
 
 TEST(PayloadTest, QueryListStatsTrailerRoundTripAndV1Compat) {
@@ -293,34 +274,159 @@ TEST(PayloadTest, QueryListStatsTrailerRoundTripAndV1Compat) {
   entry.last_match_seq = 97;
   entry.est_cpu_nanos = 55555;
   payload.entries.push_back(entry);
-  entry.query_id = 2;
-  entry.cells = 800;
-  entry.last_match_seq = -1;
-  payload.entries.push_back(entry);
-  payload.has_stats = true;
+  // An entry with the cost columns at their defaults.
+  QueryListPayload::Entry idle;
+  idle.query_id = 2;
+  idle.name = "q2";
+  idle.stream_name = "s";
+  payload.entries.push_back(idle);
 
   QueryListPayload out;
   ASSERT_TRUE(DecodePayload(Encode(payload), &out).ok());
-  ASSERT_TRUE(out.has_stats);
   ASSERT_EQ(out.entries.size(), 2u);
   EXPECT_EQ(out.entries[0].cells, 1200);
   EXPECT_EQ(out.entries[0].last_match_seq, 97);
   EXPECT_EQ(out.entries[0].est_cpu_nanos, 55555);
-  EXPECT_EQ(out.entries[1].cells, 800);
+  EXPECT_EQ(out.entries[1].cells, 0);
   EXPECT_EQ(out.entries[1].last_match_seq, -1);
+  EXPECT_EQ(out.entries[1].est_cpu_nanos, 0);
 
-  // Base-only bytes (v1 reply) decode with the stats columns at their
-  // defaults.
-  QueryListPayload v1 = payload;
-  v1.has_stats = false;
+  // A v1 QUERY_LIST carries only the base columns of each entry.
+  util::ByteWriter v1;
+  v1.WriteU64(payload.request_id);
+  v1.WriteU64(payload.entries.size());
+  for (const QueryListPayload::Entry& e : payload.entries) {
+    v1.WriteI64(e.query_id);
+    v1.WriteI64(e.stream_id);
+    v1.WriteString(e.name);
+    v1.WriteString(e.stream_name);
+    v1.WriteI64(e.ticks);
+    v1.WriteI64(e.matches);
+  }
   QueryListPayload from_v1;
-  from_v1.has_stats = true;
-  ASSERT_TRUE(DecodePayload(Encode(v1), &from_v1).ok());
-  EXPECT_FALSE(from_v1.has_stats);
-  ASSERT_EQ(from_v1.entries.size(), 2u);
-  EXPECT_EQ(from_v1.entries[0].cells, 0);
-  EXPECT_EQ(from_v1.entries[0].last_match_seq, -1);
-  EXPECT_EQ(from_v1.entries[0].ticks, 100);
+  EXPECT_FALSE(DecodePayload(v1.buffer(), &from_v1).ok());
+}
+
+// Encodes `payload`, requires its decode to re-encode to the same bytes,
+// and returns the encoded size.
+template <typename Payload>
+size_t RoundTripSize(const Payload& payload) {
+  const std::vector<uint8_t> bytes = Encode(payload);
+  Payload out;
+  EXPECT_TRUE(DecodePayload(bytes, &out).ok());
+  EXPECT_EQ(Encode(out), bytes);
+  return bytes.size();
+}
+
+// Every field is always on the wire, so each payload has one encoding and
+// its size depends only on its string and vector lengths — at the "no
+// value" markers too (send_nanos 0, match_seq -1, ticks -1).
+TEST(PayloadTest, EveryPayloadEncodesToItsFixedSize) {
+  for (const int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1} << 40}) {
+    SCOPED_TRACE(v);
+    const auto u = static_cast<uint64_t>(v);
+    HelloPayload hello;
+    hello.version = static_cast<uint32_t>(u);
+    hello.peer_name = "p";
+    EXPECT_EQ(RoundTripSize(hello), 4u + 9u);
+    HelloAckPayload ack;
+    ack.version = static_cast<uint32_t>(u);
+    ack.server_name = "p";
+    EXPECT_EQ(RoundTripSize(ack), 4u + 9u);
+    OpenStreamPayload open;
+    open.request_id = u;
+    open.name = "s";
+    EXPECT_EQ(RoundTripSize(open), 8u + 9u);
+    StreamOpenedPayload opened;
+    opened.request_id = u;
+    opened.stream_id = v;
+    opened.ticks = v;
+    EXPECT_EQ(RoundTripSize(opened), 24u);
+    AddQueryPayload add;
+    add.request_id = u;
+    add.stream_id = v;
+    add.name = "q";
+    add.values = {1.0, 2.0};
+    add.epsilon = static_cast<double>(v);
+    add.local_distance = static_cast<uint8_t>(u);
+    add.max_match_length = v;
+    add.min_match_length = v;
+    EXPECT_EQ(RoundTripSize(add), 16u + 9u + 24u + 8u + 1u + 16u);
+    QueryAddedPayload added;
+    added.request_id = u;
+    added.query_id = v;
+    EXPECT_EQ(RoundTripSize(added), 16u);
+    RemoveQueryPayload remove;
+    remove.request_id = u;
+    remove.query_id = v;
+    EXPECT_EQ(RoundTripSize(remove), 16u);
+    QueryRemovedPayload removed;
+    removed.request_id = u;
+    removed.query_id = v;
+    removed.flushed_matches = v;
+    EXPECT_EQ(RoundTripSize(removed), 24u);
+    ListQueriesPayload list;
+    list.request_id = u;
+    EXPECT_EQ(RoundTripSize(list), 8u);
+    QueryListPayload table;
+    table.request_id = u;
+    QueryListPayload::Entry entry;
+    entry.query_id = v;
+    entry.stream_id = v;
+    entry.name = "q";
+    entry.stream_name = "s";
+    entry.ticks = v;
+    entry.matches = v;
+    entry.cells = v;
+    entry.last_match_seq = v;
+    entry.est_cpu_nanos = v;
+    table.entries = {entry, entry};
+    EXPECT_EQ(RoundTripSize(table), 16u + 2u * (16u + 18u + 16u + 24u));
+    SubscribeMatchesPayload subscribe;
+    subscribe.request_id = u;
+    EXPECT_EQ(RoundTripSize(subscribe), 8u);
+    SubscribedPayload subscribed;
+    subscribed.request_id = u;
+    EXPECT_EQ(RoundTripSize(subscribed), 8u);
+    MatchEventPayload event;
+    event.delivery_seq = u;
+    event.stream_id = v;
+    event.query_id = v;
+    event.stream_name = "s";
+    event.query_name = "q";
+    event.match.start = v;
+    event.match.end = v;
+    event.match.distance = static_cast<double>(v);
+    event.match.report_time = v;
+    event.match.group_start = v;
+    event.match.group_end = v;
+    event.match_seq = v;
+    EXPECT_EQ(RoundTripSize(event), 24u + 18u + 48u + 8u);
+    TickBatchPayload batch;
+    batch.stream_id = v;
+    batch.values = {1.0, 2.0};
+    batch.send_nanos = u;
+    EXPECT_EQ(RoundTripSize(batch), 8u + 24u + 8u);
+    CheckpointPayload checkpoint;
+    checkpoint.request_id = u;
+    EXPECT_EQ(RoundTripSize(checkpoint), 8u);
+    CheckpointedPayload checkpointed;
+    checkpointed.request_id = u;
+    checkpointed.state_bytes = u;
+    EXPECT_EQ(RoundTripSize(checkpointed), 16u);
+    DrainPayload drain;
+    drain.request_id = u;
+    EXPECT_EQ(RoundTripSize(drain), 8u);
+    DrainAckPayload drain_ack;
+    drain_ack.request_id = u;
+    drain_ack.ticks_applied = u;
+    EXPECT_EQ(RoundTripSize(drain_ack), 16u);
+    ErrorPayload error;
+    error.request_id = u;
+    error.code = static_cast<uint8_t>(u);
+    error.message = "m";
+    EXPECT_EQ(RoundTripSize(error), 8u + 1u + 9u);
+  }
 }
 
 TEST(PayloadTest, ErrorPayloadStatusMapping) {

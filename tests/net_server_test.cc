@@ -17,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -326,7 +327,6 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
   client.SetMatchCallback(
       [&events](const MatchEventPayload& event) { events.push_back(event); });
   ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.negotiated_version(), kProtocolVersion);
 
   auto s0 = client.OpenStream("s0");
   auto s1 = client.OpenStream("s1");
@@ -352,13 +352,13 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
   // The tentpole acceptance bar: identical bytes with tracing on.
   EXPECT_EQ(KeysOf(events), expected);
 
-  // Spans completed end-to-end: the client's v2 send stamp survived to the
+  // Spans completed end-to-end: the client's send stamp survived to the
   // span, and the server's finalizer stamped the fan-out write, with every
   // stage monotone (one machine, one monotonic clock).
   const obs::SpanzReport spans = monitor.telemetry()->PublishedSpans();
   ASSERT_FALSE(spans.spans.empty());
   for (const obs::TickSpan& span : spans.spans) {
-    EXPECT_GT(span.client_send_nanos, 0u) << "client stamps v2 ticks";
+    EXPECT_GT(span.client_send_nanos, 0u) << "client stamps every batch";
     EXPECT_GE(span.server_recv_nanos, span.client_send_nanos);
     EXPECT_GE(span.router_enqueue_nanos, span.server_recv_nanos);
     EXPECT_GE(span.worker_pop_nanos, span.router_enqueue_nanos);
@@ -368,9 +368,9 @@ TEST_P(WorkerCountTest, EndToEndMatchesDirectRunWithTracingOn) {
         << "the net server finalizer stamps after fan-out";
   }
 
-  // LIST_QUERIES with stats over the wire: cost columns recount exactly,
-  // cells against a standalone one-query pool fed the same stream ticks.
-  auto listed = client.ListQueries(/*with_stats=*/true);
+  // LIST_QUERIES over the wire: cost columns recount exactly, cells
+  // against a standalone one-query pool fed the same stream ticks.
+  auto listed = client.ListQueries();
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed->size(), 3u);
   for (const auto& entry : *listed) {
@@ -464,6 +464,38 @@ TEST(NetServerAdminTest, AdminOpsOverTheWire) {
   monitor.Stop();
 }
 
+// LIST_QUERIES is a barrier: pipelined right behind TICK_BATCH frames the
+// server has routed but not yet drained (one write, one read pass), it
+// still reports every one of them.
+TEST(NetServerAdminTest, ListQueriesBehindUndrainedTicksIsExact) {
+  ShardedMonitorOptions monitor_options;
+  monitor_options.num_workers = 2;
+  ShardedMonitor monitor(monitor_options);
+  monitor.Start();
+  StreamServer server(&monitor, StreamServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  StreamClient client(ClientOptionsFor(server));
+  ASSERT_TRUE(client.Connect().ok());
+  auto stream = client.OpenStream("s");
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(client.AddQuery(*stream, "q", {1.0, 2.0, 3.0}, Eps(0.5)).ok());
+  int64_t ticks = 0;
+  for (const auto& chunk : Workload(/*seed=*/20261020, 4, 100)) {
+    // Buffered: the TICK_BATCH frames go out with the LIST_QUERIES below.
+    ASSERT_TRUE(client.TickBatch(*stream, chunk.values).ok());
+    ticks += static_cast<int64_t>(chunk.values.size());
+  }
+  auto listed = client.ListQueries();
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ((*listed)[0].ticks, ticks);
+
+  client.Close();
+  server.Stop();
+  monitor.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Raw-socket helpers for protocol-violation tests (the real client refuses
 // to misbehave).
@@ -509,9 +541,11 @@ std::vector<uint8_t> SendAndCollectUntilClose(int port,
 }
 
 // The server's reply to a fatal violation: exactly one ERROR frame with
-// request_id 0, then connection close.
+// request_id 0 whose message contains `message_part`, then connection
+// close.
 void ExpectFatalError(const std::vector<uint8_t>& received,
-                      util::StatusCode code) {
+                      util::StatusCode code,
+                      std::string_view message_part = "") {
   Frame frame;
   size_t consumed = 0;
   ASSERT_TRUE(CutFrame(received, kDefaultMaxFrameBytes, &frame, &consumed)
@@ -522,6 +556,8 @@ void ExpectFatalError(const std::vector<uint8_t>& received,
   ASSERT_TRUE(DecodePayload(frame.payload, &error).ok());
   EXPECT_EQ(error.request_id, 0u);
   EXPECT_EQ(error.ToStatus().code(), code);
+  EXPECT_NE(error.message.find(message_part), std::string::npos)
+      << error.message;
   EXPECT_EQ(consumed, received.size()) << "no frames after a fatal ERROR";
 }
 
@@ -544,24 +580,28 @@ class ProtocolViolationTest : public ::testing::Test {
   std::unique_ptr<StreamServer> server_;
 };
 
-TEST_F(ProtocolViolationTest, VersionSkewIsFatal) {
+// A HELLO at any version but kProtocolVersion is refused with a
+// session-fatal ERROR naming the version the server speaks.
+void ExpectHelloRefused(int port, uint32_t version) {
+  SCOPED_TRACE(version);
   HelloPayload hello;
-  hello.version = 99;
-  hello.peer_name = "time-traveler";
+  hello.version = version;
+  hello.peer_name = "other-version";
   std::vector<uint8_t> wire;
   AppendPayloadFrame(FrameType::kHello, hello, &wire);
-  ExpectFatalError(SendAndCollectUntilClose(server_->port(), wire),
-                   util::StatusCode::kFailedPrecondition);
+  ExpectFatalError(SendAndCollectUntilClose(port, wire),
+                   util::StatusCode::kFailedPrecondition,
+                   "speaks version " + std::to_string(kProtocolVersion));
+}
+
+TEST_F(ProtocolViolationTest, VersionSkewIsFatal) {
+  for (const uint32_t version : {1u, 2u, 3u, 5u, 99u}) {
+    ExpectHelloRefused(server_->port(), version);
+  }
 }
 
 TEST_F(ProtocolViolationTest, VersionZeroIsFatal) {
-  HelloPayload hello;
-  hello.version = 0;
-  hello.peer_name = "prehistoric";
-  std::vector<uint8_t> wire;
-  AppendPayloadFrame(FrameType::kHello, hello, &wire);
-  ExpectFatalError(SendAndCollectUntilClose(server_->port(), wire),
-                   util::StatusCode::kFailedPrecondition);
+  ExpectHelloRefused(server_->port(), 0);
 }
 
 // Reads whole frames off a raw socket until `count` arrived or the 5 s
@@ -664,46 +704,12 @@ TEST(NetClientTest, FailedWriteStillDispatchesReceivedMatches) {
   EXPECT_EQ(events[0].match_seq, 4);
 }
 
-// A v1 peer (no trailers anywhere) must get a v1 ack and a fully v1
-// session — the min-negotiation contract that keeps old clients working.
-TEST_F(ProtocolViolationTest, V1ClientNegotiatesV1Session) {
-  const int fd = RawConnect(server_->port());
-  ASSERT_GE(fd, 0);
-  std::vector<uint8_t> wire;
-  HelloPayload hello;
-  hello.version = 1;
-  hello.peer_name = "legacy";
-  AppendPayloadFrame(FrameType::kHello, hello, &wire);
-  ListQueriesPayload list;
-  list.request_id = 7;
-  AppendPayloadFrame(FrameType::kListQueries, list, &wire);
-  size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, 0);
-    ASSERT_GT(n, 0);
-    sent += static_cast<size_t>(n);
-  }
-
-  const std::vector<Frame> frames = ReadFrames(fd, 2);
-  ::close(fd);
-  ASSERT_EQ(frames.size(), 2u);
-  ASSERT_EQ(frames[0].type, FrameType::kHelloAck);
-  HelloAckPayload ack;
-  ASSERT_TRUE(DecodePayload(frames[0].payload, &ack).ok());
-  EXPECT_EQ(ack.version, 1u) << "server must ack min(client, server)";
-  ASSERT_EQ(frames[1].type, FrameType::kQueryList);
-  QueryListPayload reply;
-  ASSERT_TRUE(DecodePayload(frames[1].payload, &reply).ok());
-  EXPECT_EQ(reply.request_id, 7u);
-  EXPECT_FALSE(reply.has_stats) << "a v1 session never carries the trailer";
-}
-
 TEST_F(ProtocolViolationTest, FrameBeforeHelloIsFatal) {
-  TickPayload tick;
-  tick.stream_id = 0;
-  tick.value = 1.0;
+  TickBatchPayload batch;
+  batch.stream_id = 0;
+  batch.values = {1.0};
   std::vector<uint8_t> wire;
-  AppendPayloadFrame(FrameType::kTick, tick, &wire);
+  AppendPayloadFrame(FrameType::kTickBatch, batch, &wire);
   ExpectFatalError(SendAndCollectUntilClose(server_->port(), wire),
                    util::StatusCode::kFailedPrecondition);
 }
@@ -724,7 +730,8 @@ TEST_F(ProtocolViolationTest, ZeroLengthFrameIsFatal) {
 TEST_F(ProtocolViolationTest, TickForUnknownStreamIsFatal) {
   StreamClient client(ClientOptionsFor(*server_));
   ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Tick(42, 1.0).ok());  // Buffered, fire-and-forget.
+  // Buffered, fire-and-forget.
+  ASSERT_TRUE(client.TickBatch(42, std::vector<double>{1.0}).ok());
   ASSERT_TRUE(client.Flush().ok());
   // The server kills the session; the next request observes it.
   auto drained = client.Drain();

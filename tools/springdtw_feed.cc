@@ -5,7 +5,7 @@
 //       [--query=FILE --epsilon=EPS [--query_name=query]
 //        [--distance=squared|absolute] [--max_length=0] [--min_length=0]]
 //       [--rate=0] [--batch=256] [--subscribe] [--checkpoint]
-//       [--remove_query] [--list] [--stats]
+//       [--remove_query] [--list]
 //   springdtw_feed --replay_wal=DIR [--dump]
 //
 // Files may be CSV (one value per line, "nan" = missing) or binary .sdtw.
@@ -17,20 +17,19 @@
 //
 //   MATCH stream=<name> query=<name> start=<s> end=<e> dist=<d> report=<t>
 //
-// When a v3 server assigned the match a global sequence number, the line
-// additionally carries " seq=<n>" — the (seq, query) pair is the stable
-// identity consumers dedup re-deliveries by after a crash recovery
-// (docs/DURABILITY.md).
+// A match produced by a tick additionally carries " seq=<n>", the tick's
+// global sequence number (flush matches have none) — the (seq, query) pair
+// is the stable identity consumers dedup re-deliveries by after a crash
+// recovery (docs/DURABILITY.md).
 //
-// --resume skips the prefix of --stream the server already holds (the v3
-// STREAM_OPENED ticks trailer), so re-running the same feed against a
+// --resume skips the prefix of --stream the server already holds (the
+// STREAM_OPENED tick count), so re-running the same feed against a
 // recovered server continues the series instead of re-ingesting it.
 //
 // --checkpoint requests a server-side checkpoint after the drain.
 // --remove_query retires the query after the drain (printing any match the
-// removal flushed); --list prints the server's live query table, and
-// --stats (implies --list) adds per-query cost columns (DTW cells, last
-// match seq, estimated CPU nanos) when the server speaks protocol v2.
+// removal flushed); --list prints the server's live query table with its
+// per-query cost columns (DTW cells, last match seq, estimated CPU nanos).
 //
 // --replay_wal=DIR is an offline mode: no server, no --stream. It restores
 // DIR/checkpoint.ckpt (if present) to learn the covered sequence range,
@@ -171,8 +170,7 @@ int Run(int argc, char** argv) {
   const bool resume = flags.GetBool("resume", false);
   const bool checkpoint = flags.GetBool("checkpoint", false);
   const bool remove_query = flags.GetBool("remove_query", false);
-  const bool want_stats = flags.GetBool("stats", false);
-  const bool list = flags.GetBool("list", false) || want_stats;
+  const bool list = flags.GetBool("list", false);
   const std::vector<std::string> flag_errors = flags.Errors();
   for (const std::string& error : flag_errors) {
     std::fprintf(stderr, "springdtw_feed: %s\n", error.c_str());
@@ -219,9 +217,8 @@ int Run(int argc, char** argv) {
   const int64_t start_nanos = util::Stopwatch::NowNanos();
   int64_t sent = 0;
   if (resume) {
-    // The server already holds this many ticks of the stream (v3
-    // STREAM_OPENED trailer): skip that prefix so the combined ingest is
-    // the series exactly once.
+    // The server already holds this many ticks of the stream: skip that
+    // prefix so the combined ingest is the series exactly once.
     const int64_t held = std::max<int64_t>(0, client.last_stream_ticks());
     sent = std::min<int64_t>(held, static_cast<int64_t>(values.size()));
     std::printf("RESUME skipped=%lld\n", static_cast<long long>(sent));
@@ -272,21 +269,18 @@ int Run(int argc, char** argv) {
   }
 
   if (list) {
-    auto entries = client.ListQueries(want_stats);
+    auto entries = client.ListQueries();
     if (!entries.ok()) return Fail("list queries", entries.status());
     for (const auto& entry : *entries) {
-      std::printf("QUERY id=%lld stream=%s name=%s ticks=%lld matches=%lld",
-                  static_cast<long long>(entry.query_id),
-                  entry.stream_name.c_str(), entry.name.c_str(),
-                  static_cast<long long>(entry.ticks),
-                  static_cast<long long>(entry.matches));
-      if (want_stats) {
-        std::printf(" cells=%lld last_match_seq=%lld est_cpu_nanos=%lld",
-                    static_cast<long long>(entry.cells),
-                    static_cast<long long>(entry.last_match_seq),
-                    static_cast<long long>(entry.est_cpu_nanos));
-      }
-      std::printf("\n");
+      std::printf(
+          "QUERY id=%lld stream=%s name=%s ticks=%lld matches=%lld "
+          "cells=%lld last_match_seq=%lld est_cpu_nanos=%lld\n",
+          static_cast<long long>(entry.query_id), entry.stream_name.c_str(),
+          entry.name.c_str(), static_cast<long long>(entry.ticks),
+          static_cast<long long>(entry.matches),
+          static_cast<long long>(entry.cells),
+          static_cast<long long>(entry.last_match_seq),
+          static_cast<long long>(entry.est_cpu_nanos));
     }
   }
 

@@ -17,8 +17,9 @@
 // of one Push per value. --threads=N routes through the ShardedMonitor shell with N
 // workers (matches still print in deterministic order; a single stream
 // lives on one shard, so this exercises the pipeline rather than
-// splitting the DP). Both produce byte-identical output to the scalar
-// path — the differential oracle test holds them to that.
+// splitting the DP). Both print the same lines as the scalar path, the
+// end-of-stream match's " (flushed)" suffix included; the ctest
+// tools_match_paths_agree diffs the four outputs.
 //
 // Observability (threshold mode only): --metrics renders the engine's
 // metrics registry after the run — Prometheus text or JSON — to stdout or
@@ -102,6 +103,17 @@ struct IntrospectOptions {
   double publish_ms = 50.0;
 };
 
+// Sink that prints each match as the scalar path does: matches delivered
+// once `flushing` is set (by FlushAll) carry the " (flushed)" suffix.
+monitor::CallbackSink MatchPrinter(int64_t* count, const bool* flushing) {
+  return monitor::CallbackSink(
+      [count, flushing](const monitor::MatchOrigin&, const core::Match& match) {
+        std::printf("%s%s\n", match.ToString().c_str(),
+                    *flushing ? " (flushed)" : "");
+        ++*count;
+      });
+}
+
 void LingerForScrapers(const IntrospectOptions& introspect) {
   if (introspect.port >= 0 && introspect.linger_ms > 0) {
     std::this_thread::sleep_for(
@@ -136,11 +148,8 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
     return 1;
   }
   int64_t count = 0;
-  monitor::CallbackSink printer(
-      [&count](const monitor::MatchOrigin&, const core::Match& match) {
-        std::printf("%s\n", match.ToString().c_str());
-        ++count;
-      });
+  bool flushing = false;
+  monitor::CallbackSink printer = MatchPrinter(&count, &flushing);
   engine.AddSink(&printer);
 
   const std::vector<double>& values = stream.values();
@@ -159,6 +168,7 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
       return 1;
     }
   }
+  flushing = true;
   engine.FlushAll();
   std::printf("# %lld matches\n", static_cast<long long>(count));
 
@@ -182,7 +192,7 @@ int RunObserved(const ts::Series& stream, const ts::Series& query,
 }
 
 // Threshold-mode matching through the ShardedMonitor shell (--threads=N).
-// Matches are delivered deterministically at the FlushAll barrier; metrics,
+// Matches are delivered deterministically at the barriers; metrics,
 // when requested, are the fleet-wide merged snapshot.
 int RunSharded(const ts::Series& stream, const ts::Series& query,
                const core::SpringOptions& options, int64_t threads,
@@ -213,11 +223,8 @@ int RunSharded(const ts::Series& stream, const ts::Series& query,
     return 1;
   }
   int64_t count = 0;
-  monitor::CallbackSink printer(
-      [&count](const monitor::MatchOrigin&, const core::Match& match) {
-        std::printf("%s\n", match.ToString().c_str());
-        ++count;
-      });
+  bool flushing = false;
+  monitor::CallbackSink printer = MatchPrinter(&count, &flushing);
   monitor.AddSink(&printer);
 
   monitor.Start();
@@ -233,6 +240,10 @@ int RunSharded(const ts::Series& stream, const ts::Series& query,
       return 1;
     }
   }
+  // Deliver the tick matches first: FlushAll's own barrier would deliver
+  // them after `flushing` is set.
+  monitor.Drain();
+  flushing = true;
   monitor.FlushAll();
   std::printf("# %lld matches\n", static_cast<long long>(count));
   std::fflush(stdout);
