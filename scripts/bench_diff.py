@@ -10,10 +10,11 @@ Both inputs are BENCH_METRICS_JSON documents as written by the benches'
     {"metrics": [{"name": ..., "type": ..., "help": ...,
                   "series": [{"labels": {...}, "value": N}, ...]}, ...]}
 
-Series are keyed by (metric name, sorted label set); only keys present in
-BOTH files are compared — added or removed series are reported as
-informational lines, never as failures, so a bench gaining a new leg does
-not break history comparison.
+Series are keyed by (metric name, sorted label set); a histogram series
+(count, sum, p50, p90, p99, ... instead of a value) becomes the two keys
+"NAME:p50" and "NAME:p99". Only keys present in BOTH files are compared —
+added or removed series are reported as informational lines, never as
+failures, so a bench gaining a new leg does not break history comparison.
 
 Direction is inferred from the metric name: names containing one of
 "overhead", "_pct", "us_per_tick", "latency", "delay" measure cost (lower
@@ -37,7 +38,10 @@ COST_MARKERS = ("overhead", "_pct", "us_per_tick", "latency", "delay")
 
 
 def series_map(doc, path):
-    """Flatten a BENCH metrics doc to {(name, labels-tuple): value}."""
+    """Flatten a BENCH metrics doc to {(name, labels-tuple): value}.
+
+    Histogram series contribute their p50 and p99 as "name:p50" and
+    "name:p99"."""
     out = {}
     metrics = doc.get("metrics")
     if not isinstance(metrics, list):
@@ -50,11 +54,14 @@ def series_map(doc, path):
             labels = series.get("labels", {})
             if not isinstance(labels, dict):
                 raise ValueError(f"{path}: {name}: labels is not an object")
-            value = series.get("value")
-            if not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: {name}: non-numeric value")
-            key = (name, tuple(sorted(labels.items())))
-            out[key] = float(value)
+            if metric.get("type") == "histogram":
+                points = {f"{name}:{q}": series.get(q) for q in ("p50", "p99")}
+            else:
+                points = {name: series.get("value")}
+            for point, value in points.items():
+                if not isinstance(value, (int, float)):
+                    raise ValueError(f"{path}: {point}: non-numeric value")
+                out[(point, tuple(sorted(labels.items())))] = float(value)
     return out
 
 

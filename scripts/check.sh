@@ -38,7 +38,8 @@
 #               /healthz and the spring_net_* metric splice, SIGTERMs the
 #               daemon (must exit 0 and leave a checkpoint), then restarts
 #               from the checkpoint and asserts the restored query keeps
-#               matching (docs/SERVING.md)
+#               matching and, with telemetry off, lists nonzero cells
+#               (docs/SERVING.md)
 #   alert-smoke Boots springdtw_serve with --timeline and a page-severity
 #               rate rule, drives a paced feed hot enough to trip it, and
 #               walks the rule through its full lifecycle over /alertz:
@@ -188,6 +189,7 @@ leg_bench_smoke() {
   # repo root stay untouched; bench_diff compares fresh numbers against
   # them warn-only (hardware varies between the machine that committed a
   # baseline and this one, so regressions print but never fail the leg).
+  # A file bench_diff cannot read (exit 2) does fail it.
   local fresh
   fresh="$(mktemp -d)" || return 1
   cmake --preset default &&
@@ -207,15 +209,16 @@ leg_bench_smoke() {
     ./build/tools/springdtw_metrics_check --in="$fresh/BENCH_net.json" \
       --require=bench_net_ingest_ticks_per_sec,bench_net_ingest_wire_overhead,bench_net_ingest_tracing_overhead_pct,bench_net_ingest_wal_overhead_pct,bench_net_ingest_timeline_overhead_pct ||
     { rm -rf "$fresh"; return 1; }
-  local bench
+  local bench rc=0
   for bench in BENCH_scaleout.json BENCH_fig7.json BENCH_net.json; do
     if [ -f "$bench" ]; then
       echo "--- bench_diff $bench (vs committed baseline, warn-only) ---"
       python3 scripts/bench_diff.py --warn-only --quiet \
-        "$bench" "$fresh/$bench"
+        "$bench" "$fresh/$bench" || rc=1
     fi
   done
   rm -rf "$fresh"
+  return "$rc"
 }
 
 # One HTTP GET over bash's /dev/tcp (no curl dependency in the container);
@@ -392,7 +395,8 @@ leg_serve_smoke() {
     cat "$tmp/feed.out"
     ok=1
   }
-  grep -q 'QUERY .*name=query ticks=16' "$tmp/feed.out" || {
+  grep -q 'QUERY .*name=query ticks=16 matches=1 cells=[1-9]' \
+    "$tmp/feed.out" || {
     echo "serve-smoke: LIST_QUERIES row missing:"
     cat "$tmp/feed.out"
     ok=1
@@ -432,7 +436,8 @@ leg_serve_smoke() {
 
   # Restart from the checkpoint: the stream and query are restored, so a
   # replay of the same pattern (ticks 16..31) must match at 19..23 without
-  # re-registering anything.
+  # re-registering anything. This daemon runs without telemetry, and its
+  # LIST_QUERIES row must still carry the engine's cells.
   if [ "$ok" -eq 0 ]; then
     ./build/tools/springdtw_serve --port=0 --workers=2 \
       --checkpoint="$tmp/state.ckpt" >"$tmp/serve2.out" 2>&1 &
@@ -441,11 +446,18 @@ leg_serve_smoke() {
       "$serve_pid")" || ok=1
     if [ "$ok" -eq 0 ]; then
       ./build/tools/springdtw_feed --port="$port" \
-        --stream="$tmp/stream.csv" --subscribe >"$tmp/feed2.out" 2>&1 || ok=1
+        --stream="$tmp/stream.csv" --subscribe --list \
+        >"$tmp/feed2.out" 2>&1 || ok=1
       grep -q \
         'MATCH stream=stream query=query start=19 end=23 dist=0 report=24' \
         "$tmp/feed2.out" || {
         echo "serve-smoke: restored daemon did not keep matching:"
+        cat "$tmp/feed2.out"
+        ok=1
+      }
+      grep -q 'QUERY .*name=query ticks=32 matches=2 cells=[1-9]' \
+        "$tmp/feed2.out" || {
+        echo "serve-smoke: restored daemon's LIST_QUERIES row missing:"
         cat "$tmp/feed2.out"
         ok=1
       }

@@ -11,13 +11,16 @@ namespace monitor {
 /// Rows served by /queryz: how many rows the ranked JSON renders.
 inline constexpr int64_t kCostTopK = 100;
 
-/// One /queryz row: everything the monitor knows about what a query has
-/// cost so far. `cells` is the exact STWM work: the cells the kernel
-/// computed, up to each tick's ε-frontier (at most the query length m per
-/// tick). The SPRING DP is the dominating cost, so cells is the primary
-/// ranking key. `est_cpu_nanos` is the sampled wall attribution
-/// (EngineOptions::cost_sample_every), split across a stream's queries by
-/// the cells each computed in the sampled run; 0 when sampling is off.
+/// One query's row, the same for LIST_QUERIES (ShardedMonitor::ListQueries)
+/// and /queryz: everything the monitor knows about what a query has cost
+/// so far. `ticks`, `matches` and `cells` are the owning engine's exact
+/// counters, in the query's own clock. `cells` is the exact STWM work: the
+/// cells the kernel computed, up to each tick's ε-frontier (at most the
+/// query length m per tick). The SPRING DP is the dominating cost, so cells
+/// is the primary ranking key. `est_cpu_nanos` is the sampled wall
+/// attribution (EngineOptions::cost_sample_every), split across a stream's
+/// queries by the cells each computed in the sampled run; 0 when sampling
+/// is off.
 struct QueryCost {
   int64_t query_id = 0;
   int64_t stream_id = 0;

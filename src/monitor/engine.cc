@@ -59,12 +59,14 @@ int64_t MonitorEngine::AttachQuery(Stream& stream,
                                    std::vector<QueryEntry>& queries,
                                    int64_t stream_id, std::string name,
                                    int64_t pool_index,
-                                   obs::TraceSpace space) {
+                                   obs::TraceSpace space,
+                                   const QueryStats& stats) {
   const int64_t query_id = static_cast<int64_t>(queries.size());
   QueryEntry entry;
   entry.stream_id = stream_id;
   entry.name = std::move(name);
   entry.pool_index = pool_index;
+  entry.stats = stats;
   if (obs_ != nullptr) {
     entry.obs = ResolveQueryObs(stream.name, entry.name,
                                 space == obs::TraceSpace::kVector);
@@ -93,7 +95,8 @@ util::StatusOr<int64_t> MonitorEngine::AddQuery(
 }
 
 util::StatusOr<int64_t> MonitorEngine::AddQueryFromSnapshot(
-    int64_t stream_id, std::string name, std::span<const uint8_t> snapshot) {
+    int64_t stream_id, std::string name, std::span<const uint8_t> snapshot,
+    const QueryStats& stats) {
   if (stream_id < 0 || stream_id >= num_streams()) {
     return util::NotFoundError(
         util::StrFormat("no stream %lld", static_cast<long long>(stream_id)));
@@ -103,7 +106,7 @@ util::StatusOr<int64_t> MonitorEngine::AddQueryFromSnapshot(
       stream.pool.AddQueryFromSnapshot(snapshot);
   if (!index.ok()) return index.status();
   return AttachQuery(stream, queries_, stream_id, std::move(name), *index,
-                     obs::TraceSpace::kScalar);
+                     obs::TraceSpace::kScalar, stats);
 }
 
 std::vector<uint8_t> MonitorEngine::SerializeQueryState(
@@ -630,16 +633,22 @@ util::MemoryFootprint MonitorEngine::Footprint() const {
   return fp;
 }
 
-void WriteStats(util::ByteWriter* writer, const QueryStats& stats) {
-  writer->WriteI64(stats.ticks);
-  writer->WriteI64(stats.matches);
-  stats.output_delay.SerializeTo(writer);
+void WriteQueryRecord(util::ByteWriter* writer, const QueryRecord& record) {
+  writer->WriteI64(record.stream_id);
+  writer->WriteString(record.name);
+  writer->WriteBytes(record.snapshot);
+  writer->WriteI64(record.stats.ticks);
+  writer->WriteI64(record.stats.matches);
+  record.stats.output_delay.SerializeTo(writer);
 }
 
-bool ReadStats(util::ByteReader* reader, QueryStats* stats) {
-  return reader->ReadI64(&stats->ticks) &&
-         reader->ReadI64(&stats->matches) &&
-         stats->output_delay.DeserializeFrom(reader);
+bool ReadQueryRecord(util::ByteReader* reader, QueryRecord* record) {
+  return reader->ReadI64(&record->stream_id) &&
+         reader->ReadString(&record->name) &&
+         reader->ReadBytesSpan(&record->snapshot) &&
+         reader->ReadI64(&record->stats.ticks) &&
+         reader->ReadI64(&record->stats.matches) &&
+         record->stats.output_delay.DeserializeFrom(reader);
 }
 
 namespace {
@@ -695,11 +704,11 @@ std::vector<uint8_t> MonitorEngine::SerializeState() const {
     writer.WriteU64(count);
     for (const QueryEntry& query : queries) {
       if (query.removed) continue;
-      writer.WriteI64(query.stream_id);
-      writer.WriteString(query.name);
-      writer.WriteBytes(streams[static_cast<size_t>(query.stream_id)]
-                            .pool.SerializeQuery(query.pool_index));
-      WriteStats(&writer, query.stats);
+      const std::vector<uint8_t> snapshot =
+          streams[static_cast<size_t>(query.stream_id)].pool.SerializeQuery(
+              query.pool_index);
+      WriteQueryRecord(&writer,
+                       {query.stream_id, query.name, snapshot, query.stats});
     }
   };
   write_queries(streams_, queries_,
@@ -773,32 +782,26 @@ util::Status MonitorEngine::RestoreState(std::span<const uint8_t> bytes) {
     streams_.push_back(std::move(stream));
   }
 
-  // Query records: stream id, name, the pool's query snapshot, stats.
   const auto read_queries = [&](auto& streams,
                                 std::vector<QueryEntry>& queries,
                                 obs::TraceSpace space) -> util::Status {
     uint64_t count = 0;
     reader.ReadU64(&count);
     for (uint64_t i = 0; reader.ok() && i < count; ++i) {
-      int64_t stream_id = 0;
-      std::string name;
-      std::span<const uint8_t> snapshot;
-      QueryStats stats;
-      reader.ReadI64(&stream_id);
-      reader.ReadString(&name);
-      if (!reader.ReadBytesSpan(&snapshot) || !ReadStats(&reader, &stats)) {
+      QueryRecord record;
+      if (!ReadQueryRecord(&reader, &record)) {
         return util::InvalidArgumentError("checkpoint truncated");
       }
-      if (stream_id < 0 || stream_id >= static_cast<int64_t>(streams.size())) {
+      if (record.stream_id < 0 ||
+          record.stream_id >= static_cast<int64_t>(streams.size())) {
         return util::InvalidArgumentError("checkpoint query has bad stream");
       }
-      auto& stream = streams[static_cast<size_t>(stream_id)];
+      auto& stream = streams[static_cast<size_t>(record.stream_id)];
       const util::StatusOr<int64_t> index =
-          stream.pool.AddQueryFromSnapshot(snapshot);
+          stream.pool.AddQueryFromSnapshot(record.snapshot);
       if (!index.ok()) return index.status();
-      const int64_t query_id = AttachQuery(stream, queries, stream_id,
-                                           std::move(name), *index, space);
-      queries[static_cast<size_t>(query_id)].stats = stats;
+      AttachQuery(stream, queries, record.stream_id, std::move(record.name),
+                  *index, space, record.stats);
     }
     return util::Status::Ok();
   };

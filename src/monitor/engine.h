@@ -29,10 +29,18 @@ struct QueryStats {
   util::RunningStats output_delay;
 };
 
-/// QueryStats' checkpoint encoding, shared by engine (SPRE) and sharded
-/// monitor (SPRM) checkpoints. ReadStats is false on truncation.
-void WriteStats(util::ByteWriter* writer, const QueryStats& stats);
-bool ReadStats(util::ByteReader* reader, QueryStats* stats);
+/// One query's checkpoint record, shared by engine (SPRE) and sharded
+/// monitor (SPRM) checkpoints: its stream id, name, matcher snapshot and
+/// stats. `snapshot` views the reader's bytes.
+struct QueryRecord {
+  int64_t stream_id = 0;
+  std::string name;
+  std::span<const uint8_t> snapshot;
+  QueryStats stats;
+};
+void WriteQueryRecord(util::ByteWriter* writer, const QueryRecord& record);
+/// False on truncation.
+bool ReadQueryRecord(util::ByteReader* reader, QueryRecord* record);
 
 /// Engine construction options.
 struct EngineOptions {
@@ -233,12 +241,12 @@ class MonitorEngine {
 
   /// Attaches a query whose matcher state comes from a
   /// SerializeQueryState / SpringMatcher::SerializeState snapshot, resuming
-  /// that query mid-stream on this engine. Returns the new query id, or an
-  /// error for a corrupt snapshot or one whose query fails
-  /// core::ValidateSpringQuery.
+  /// that query mid-stream on this engine with counters `stats`. Returns
+  /// the new query id, or an error for a corrupt snapshot or one whose
+  /// query fails core::ValidateSpringQuery.
   util::StatusOr<int64_t> AddQueryFromSnapshot(
-      int64_t stream_id, std::string name,
-      std::span<const uint8_t> snapshot);
+      int64_t stream_id, std::string name, std::span<const uint8_t> snapshot,
+      const QueryStats& stats = {});
 
   const EngineOptions& options() const { return options_; }
 
@@ -311,11 +319,13 @@ class MonitorEngine {
   int64_t Ingest(Stream& stream, std::vector<QueryEntry>& queries,
                  obs::TraceSpace space, std::span<const double> values);
 
-  /// Registers a query entry for pool slot `pool_index` of `stream`.
+  /// Registers a query entry, with counters `stats`, for pool slot
+  /// `pool_index` of `stream`.
   template <typename Stream>
   int64_t AttachQuery(Stream& stream, std::vector<QueryEntry>& queries,
                       int64_t stream_id, std::string name,
-                      int64_t pool_index, obs::TraceSpace space);
+                      int64_t pool_index, obs::TraceSpace space,
+                      const QueryStats& stats = {});
 
   /// Books one reported or flushed match of `query` — stats, metrics, a
   /// trace event of `kind` — and hands it to the sinks. `batch_offset` is

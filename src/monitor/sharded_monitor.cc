@@ -164,40 +164,48 @@ util::StatusOr<int64_t> ShardedMonitor::RemoveQuery(int64_t query_id) {
   // buffered tick match.
   auto flushed = shard.engine->RemoveQuery(query.local_id);
   if (!flushed.ok()) return flushed.status();
-  // Final tick count is exact post-barrier; freeze it before the tombstone
-  // makes DeliverPending skip this query.
-  query.stats.ticks = stream.pushes;
   query.removed = true;
   // order: relaxed — introspection gauge; the server tolerates staleness.
   shard.query_count.fetch_add(-1, std::memory_order_relaxed);
   DeliverPending();
-  RefreshCostAccounting();
   // The removal mutated an engine on this thread; publish so scrapes stop
   // seeing the removed query.
   Publish(/*force=*/true);
   return *flushed;
 }
 
-std::vector<ShardedMonitor::QueryListEntry> ShardedMonitor::ListQueries()
-    const {
-  std::vector<QueryListEntry> entries;
-  entries.reserve(queries_.size());
+std::vector<QueryCost> ShardedMonitor::ListQueries() {
+  Drain();
+  return QueryRows();
+}
+
+const MonitorEngine& ShardedMonitor::EngineOf(const QueryInfo& query) const {
+  return *shards_[static_cast<size_t>(
+                      streams_[static_cast<size_t>(query.stream_id)].worker)]
+              ->engine;
+}
+
+std::vector<QueryCost> ShardedMonitor::QueryRows() const {
+  std::vector<QueryCost> rows;
+  rows.reserve(queries_.size());
   for (size_t i = 0; i < queries_.size(); ++i) {
     const QueryInfo& query = queries_[i];
     if (query.removed) continue;
-    QueryListEntry entry;
-    entry.query_id = static_cast<int64_t>(i);
-    entry.stream_id = query.stream_id;
-    entry.name = query.name;
-    entry.stream_name = streams_[static_cast<size_t>(query.stream_id)].name;
-    entry.ticks = query.stats.ticks;
-    entry.matches = query.stats.matches;
-    entry.cells = query.cells;
-    entry.last_match_seq = query.last_match_seq;
-    entry.est_cpu_nanos = query.est_cpu_nanos;
-    entries.push_back(std::move(entry));
+    const MonitorEngine& engine = EngineOf(query);
+    const QueryStats& stats = engine.stats(query.local_id);
+    QueryCost row;
+    row.query_id = static_cast<int64_t>(i);
+    row.stream_id = query.stream_id;
+    row.query_name = query.name;
+    row.stream_name = streams_[static_cast<size_t>(query.stream_id)].name;
+    row.ticks = stats.ticks;
+    row.cells = engine.QueryCellsComputed(query.local_id);
+    row.matches = stats.matches;
+    row.last_match_seq = query.last_match_seq;
+    row.est_cpu_nanos = engine.QueryEstCpuNanos(query.local_id);
+    rows.push_back(std::move(row));
   }
-  return entries;
+  return rows;
 }
 
 void ShardedMonitor::AddSink(MatchSink* sink) {
@@ -381,9 +389,6 @@ void ShardedMonitor::AwaitQuiescent() {
 int64_t ShardedMonitor::Drain() {
   if (started()) AwaitQuiescent();
   const int64_t delivered = DeliverPending();
-  // Post-barrier the engines are caller-visible: refresh the per-query
-  // cost cache so ListQueries is exact as of this barrier.
-  RefreshCostAccounting();
   Publish(/*force=*/false);
   return delivered;
 }
@@ -403,12 +408,9 @@ int64_t ShardedMonitor::DeliverPending() {
   for (const PendingMatch& pending : delivery_scratch_) {
     QueryInfo& query =
         queries_[static_cast<size_t>(pending.global_query_id)];
-    ++query.stats.matches;
     if (pending.seq != kFlushSeq) {
       query.last_match_seq = static_cast<int64_t>(pending.seq);
     }
-    query.stats.output_delay.Add(static_cast<double>(
-        pending.match.report_time - pending.match.end));
     MatchOrigin origin;
     origin.stream_id = query.stream_id;
     origin.query_id = pending.global_query_id;
@@ -418,11 +420,6 @@ int64_t ShardedMonitor::DeliverPending() {
                             ? -1
                             : static_cast<int64_t>(pending.seq);
     for (MatchSink* sink : sinks_) sink->OnMatch(origin, pending.match);
-  }
-  for (QueryInfo& query : queries_) {
-    if (query.removed) continue;
-    query.stats.ticks =
-        streams_[static_cast<size_t>(query.stream_id)].pushes;
   }
   // Completed spans: every worker stage is done (the barrier made
   // pending_spans visible).
@@ -475,9 +472,11 @@ int64_t ShardedMonitor::stream_ticks(int64_t stream_id) const {
   return streams_[static_cast<size_t>(stream_id)].pushes;
 }
 
-const QueryStats& ShardedMonitor::stats(int64_t query_id) const {
+const QueryStats& ShardedMonitor::stats(int64_t query_id) {
   SPRINGDTW_CHECK(query_id >= 0 && query_id < num_queries());
-  return queries_[static_cast<size_t>(query_id)].stats;
+  Drain();
+  const QueryInfo& query = queries_[static_cast<size_t>(query_id)];
+  return EngineOf(query).stats(query.local_id);
 }
 
 obs::MetricsSnapshot ShardedMonitor::MergedMetricsSnapshot() {
@@ -493,7 +492,6 @@ void ShardedMonitor::PollTimeline(bool force) {
     return;
   }
   if (started()) AwaitQuiescent();
-  RefreshCostAccounting();
   Publish(/*force=*/true);
 }
 
@@ -530,17 +528,15 @@ std::vector<uint8_t> ShardedMonitor::SerializeState() {
     if (!query.removed) ++active;
   }
   writer.WriteU64(active);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    const QueryInfo& query = queries_[i];
+  for (const QueryInfo& query : queries_) {
     if (query.removed) continue;
-    const Shard& shard = *shards_[static_cast<size_t>(
-        streams_[static_cast<size_t>(query.stream_id)].worker)];
-    writer.WriteI64(query.stream_id);
-    writer.WriteString(query.name);
     // One snapshot per query, not per engine: restorable into any worker
     // count.
-    writer.WriteBytes(shard.engine->SerializeQueryState(query.local_id));
-    WriteStats(&writer, query.stats);
+    const MonitorEngine& engine = EngineOf(query);
+    const std::vector<uint8_t> snapshot =
+        engine.SerializeQueryState(query.local_id);
+    WriteQueryRecord(&writer, {query.stream_id, query.name, snapshot,
+                               engine.stats(query.local_id)});
   }
   // order: relaxed — introspection stamp (checkpoint age); staleness only
   // skews the reported age by one scrape.
@@ -592,31 +588,22 @@ util::Status ShardedMonitor::RestoreState(std::span<const uint8_t> bytes) {
   uint64_t num_ckpt_queries = 0;
   reader.ReadU64(&num_ckpt_queries);
   for (uint64_t i = 0; reader.ok() && i < num_ckpt_queries; ++i) {
-    int64_t stream_id = 0;
-    std::string name;
-    std::span<const uint8_t> snapshot;
-    reader.ReadI64(&stream_id);
-    reader.ReadString(&name);
-    if (!reader.ReadBytesSpan(&snapshot)) {
+    QueryRecord record;
+    if (!ReadQueryRecord(&reader, &record)) {
       return util::InvalidArgumentError("checkpoint truncated");
     }
-    QueryStats stats;
-    if (!ReadStats(&reader, &stats)) {
-      return util::InvalidArgumentError("checkpoint stats truncated");
-    }
-    if (stream_id < 0 || stream_id >= num_streams()) {
+    if (record.stream_id < 0 || record.stream_id >= num_streams()) {
       return util::InvalidArgumentError("checkpoint query has bad stream");
     }
-    StreamInfo& stream = streams_[static_cast<size_t>(stream_id)];
+    StreamInfo& stream = streams_[static_cast<size_t>(record.stream_id)];
     Shard& shard = *shards_[static_cast<size_t>(stream.worker)];
-    auto local = shard.engine->AddQueryFromSnapshot(stream.local_id, name,
-                                                    snapshot);
+    auto local = shard.engine->AddQueryFromSnapshot(
+        stream.local_id, record.name, record.snapshot, record.stats);
     if (!local.ok()) return local.status();
     QueryInfo info;
-    info.stream_id = stream_id;
-    info.name = std::move(name);
+    info.stream_id = record.stream_id;
+    info.name = std::move(record.name);
     info.local_id = *local;
-    info.stats = stats;
     shard.global_query_ids.push_back(static_cast<int64_t>(queries_.size()));
     // order: relaxed — introspection gauge; the server tolerates
     // staleness.
@@ -749,22 +736,12 @@ obs::StatusReport ShardedMonitor::StatusSnapshot() const {
   return report;
 }
 
-void ShardedMonitor::RefreshCostAccounting() {
-  if (telemetry_ == nullptr) return;
-  for (QueryInfo& query : queries_) {
-    if (query.removed) continue;
-    const MonitorEngine& engine = *shards_[static_cast<size_t>(
-        streams_[static_cast<size_t>(query.stream_id)].worker)]->engine;
-    query.cells = engine.QueryCellsComputed(query.local_id);
-    query.est_cpu_nanos = engine.QueryEstCpuNanos(query.local_id);
-  }
-}
-
 void ShardedMonitor::Publish(bool force) {
   if (telemetry_ == nullptr) return;
   const uint64_t now = NowNanos();
   if (!force && !telemetry_->PublishDue(now)) return;
   CostSnapshot costs;
+  costs.queries = QueryRows();
   costs.streams.resize(streams_.size());
   for (size_t s = 0; s < streams_.size(); ++s) {
     const StreamInfo& stream = streams_[s];
@@ -774,27 +751,12 @@ void ShardedMonitor::Publish(bool force) {
     row.worker = stream.worker;
     row.ticks = stream.pushes;
   }
-  costs.queries.reserve(queries_.size());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    const QueryInfo& query = queries_[i];
-    if (query.removed) continue;
-    const StreamInfo& stream = streams_[static_cast<size_t>(query.stream_id)];
-    QueryCost cost;
-    cost.query_id = static_cast<int64_t>(i);
-    cost.stream_id = query.stream_id;
-    cost.query_name = query.name;
-    cost.stream_name = stream.name;
-    cost.ticks = stream.pushes;
-    cost.cells = query.cells;
-    cost.matches = query.stats.matches;
-    cost.last_match_seq = query.last_match_seq;
-    cost.est_cpu_nanos = query.est_cpu_nanos;
-    StreamCost& row = costs.streams[static_cast<size_t>(query.stream_id)];
+  for (const QueryCost& cost : costs.queries) {
+    StreamCost& row = costs.streams[static_cast<size_t>(cost.stream_id)];
     ++row.queries;
     row.cells += cost.cells;
     row.matches += cost.matches;
     row.est_cpu_nanos += cost.est_cpu_nanos;
-    costs.queries.push_back(std::move(cost));
   }
   std::vector<MonitorEngine*> engines;
   engines.reserve(shards_.size());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/spring.h"
+#include "monitor/cost_accounting.h"
 #include "monitor/engine.h"
 #include "monitor/sink.h"
 #include "monitor/spsc_queue.h"
@@ -151,24 +152,12 @@ class ShardedMonitor {
   /// subsequent checkpoints.
   util::StatusOr<int64_t> RemoveQuery(int64_t query_id);
 
-  /// One row per live (non-removed) query, for LIST_QUERIES-style admin.
-  /// The cost columns (cells, last_match_seq, est_cpu_nanos) are fresh as
-  /// of the last barrier and stay 0/-1 unless collect_metrics is on.
-  struct QueryListEntry {
-    int64_t query_id = 0;
-    int64_t stream_id = 0;
-    std::string name;
-    std::string stream_name;
-    int64_t ticks = 0;
-    int64_t matches = 0;
-    int64_t cells = 0;
-    int64_t last_match_seq = -1;
-    int64_t est_cpu_nanos = 0;
-  };
-
-  /// Snapshot of the live query set, stats fresh as of the last barrier
-  /// (call Drain() first for exact counts mid-ingest).
-  std::vector<QueryListEntry> ListQueries() const;
+  /// Barrier, then one row per live (non-removed) query, for
+  /// LIST_QUERIES-style admin: the same rows /queryz ranks. Every column is
+  /// exact for every routed value. ticks, matches and cells come from the
+  /// owning shard engine, so ticks counts the query's own clock (from its
+  /// AddQuery); est_cpu_nanos is 0 unless collect_metrics is on.
+  std::vector<QueryCost> ListQueries();
 
   /// Registers a sink; not owned; must outlive the monitor. Sinks run on
   /// the caller thread at barriers, never on worker threads.
@@ -236,8 +225,10 @@ class ShardedMonitor {
   /// a resuming producer should skip to (the STREAM_OPENED tick count).
   int64_t stream_ticks(int64_t stream_id) const;
 
-  /// Per-query counters, fresh as of the last barrier.
-  const QueryStats& stats(int64_t query_id) const;
+  /// Barrier, then the owning shard engine's counters for `query_id`
+  /// (tombstoned ids keep their final counters). The reference is valid
+  /// until the next call that routes values or changes the topology.
+  const QueryStats& stats(int64_t query_id);
 
   /// Barrier and forced publish, then the published fleet-wide merged
   /// metrics snapshot (see obs::MergeSnapshots): the shards, the router
@@ -362,10 +353,13 @@ class ShardedMonitor {
     bool repairer_seeded = false;
     int64_t worker = 0;
     int64_t local_id = 0;
-    /// Values routed so far (== every attached query's tick count).
+    /// Values routed so far: the stream's clock. A query added later
+    /// counts its own ticks from its AddQuery.
     int64_t pushes = 0;
   };
 
+  /// What only the router knows about a query. Its counters live in the
+  /// owning shard engine, readable at quiescence.
   struct QueryInfo {
     int64_t stream_id = 0;
     std::string name;
@@ -373,11 +367,6 @@ class ShardedMonitor {
     /// RemoveQuery tombstone; mirrors the engine-side flag so global ids
     /// stay stable while checkpoints and listings skip the entry.
     bool removed = false;
-    QueryStats stats;
-    /// Cost columns cached from the owning engine at the last barrier
-    /// (RefreshCostAccounting) so ListQueries never touches live engines.
-    int64_t cells = 0;
-    int64_t est_cpu_nanos = 0;
     /// Global seq of the last delivered match (DeliverPending); -1 before
     /// any match. Flush matches (kFlushSeq) do not update it.
     int64_t last_match_seq = -1;
@@ -392,18 +381,19 @@ class ShardedMonitor {
   /// Waits until every shard's consumed count matches produced.
   void AwaitQuiescent();
   /// Merges, orders, and dispatches all shards' buffered matches; updates
-  /// per-query stats. Caller must hold the drain barrier.
+  /// last_match_seq. Caller must hold the drain barrier.
   int64_t DeliverPending();
+  /// The engine that owns `query`.
+  const MonitorEngine& EngineOf(const QueryInfo& query) const;
+  /// One QueryCost row per live query, read from the shard engines. Caller
+  /// must hold the drain barrier.
+  std::vector<QueryCost> QueryRows() const;
   /// Router thread, workers quiescent: the plane's one publish point
   /// (Telemetry::Publish), at most once per publish_interval_ms unless
   /// `force`. No-op without the plane.
   void Publish(bool force);
   /// Shared staleness verdict for HealthSnapshot/StatusSnapshot.
   obs::WorkerHealth WorkerHealthFor(int64_t worker, uint64_t now_nanos) const;
-  /// Router thread, workers quiescent (reads shard engines): refreshes the
-  /// per-query cost cache (QueryInfo::cells/est_cpu_nanos). No-op without
-  /// the plane.
-  void RefreshCostAccounting();
 
   ShardedMonitorOptions options_;
   /// Declared before shards_ so the engines it observes die first.

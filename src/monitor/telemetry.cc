@@ -142,7 +142,7 @@ void Telemetry::Publish(uint64_t now_nanos,
     ShardTelemetry& shard = *shards_[w];
     engine.RefreshObservabilityGauges();
     snapshots.push_back(shard.obs.registry().Snapshot());
-    const std::vector<obs::TraceEvent> events = shard.obs.trace().Events();
+    const std::vector<obs::TraceEvent> events = shard.obs.trace().Items();
     traces.events.insert(traces.events.end(), events.begin(), events.end());
     traces.dropped += shard.obs.trace().dropped();
     // order: relaxed — introspection gauge; the server tolerates staleness.
@@ -153,7 +153,7 @@ void Telemetry::Publish(uint64_t now_nanos,
   snapshots.push_back(aux_metrics_);
   obs::MetricsSnapshot merged = obs::MergeSnapshots(snapshots);
   RankByCost(&costs);
-  obs::SpanzReport spans{span_ring_.Spans(), span_ring_.dropped()};
+  obs::SpanzReport spans{span_ring_.Items(), span_ring_.dropped()};
   bool page = false;
   {
     util::MutexLock lock(&publish_mu_);
@@ -162,7 +162,7 @@ void Telemetry::Publish(uint64_t now_nanos,
       alerts_->Evaluate(now_nanos, merged, *timeline_, &alert_trace_);
       page = alerts_->AnyFiringPage();
       // Alert transitions join the match-lifecycle events on /tracez.
-      const std::vector<obs::TraceEvent> events = alert_trace_.Events();
+      const std::vector<obs::TraceEvent> events = alert_trace_.Items();
       traces.events.insert(traces.events.end(), events.begin(), events.end());
       traces.dropped += alert_trace_.dropped();
     }

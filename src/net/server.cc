@@ -485,20 +485,21 @@ bool StreamServer::HandleFrame(Connection* conn, const Frame& frame) {
       if (!status.ok()) return fatal_decode(status);
       QueryListPayload resp;
       resp.request_id = req.request_id;
-      // A barrier first: the counts and cost columns are then exact as of
-      // every tick this loop has routed, pipelined ones included.
+      // ListQueries takes the barrier itself, so every column is exact as
+      // of every tick this loop has routed, pipelined ones included. The
+      // server's drain first, so its dirty-tick state resets with it.
       DrainIfDirty();
-      for (const auto& entry : monitor_->ListQueries()) {
+      for (monitor::QueryCost& row : monitor_->ListQueries()) {
         QueryListPayload::Entry out;
-        out.query_id = entry.query_id;
-        out.stream_id = entry.stream_id;
-        out.name = entry.name;
-        out.stream_name = entry.stream_name;
-        out.ticks = entry.ticks;
-        out.matches = entry.matches;
-        out.cells = entry.cells;
-        out.last_match_seq = entry.last_match_seq;
-        out.est_cpu_nanos = entry.est_cpu_nanos;
+        out.query_id = row.query_id;
+        out.stream_id = row.stream_id;
+        out.name = std::move(row.query_name);
+        out.stream_name = std::move(row.stream_name);
+        out.ticks = row.ticks;
+        out.matches = row.matches;
+        out.cells = row.cells;
+        out.last_match_seq = row.last_match_seq;
+        out.est_cpu_nanos = row.est_cpu_nanos;
         resp.entries.push_back(std::move(out));
       }
       Send(conn, FrameType::kQueryList, resp);

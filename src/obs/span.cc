@@ -1,8 +1,5 @@
 #include "obs/span.h"
 
-#include <algorithm>
-#include <ostream>
-
 #include "util/string_util.h"
 
 namespace springdtw {
@@ -24,40 +21,6 @@ std::string TickSpanJson(const TickSpan& s) {
       static_cast<unsigned long long>(s.delivered_nanos),
       static_cast<unsigned long long>(s.subscriber_write_nanos),
       static_cast<long long>(s.matches));
-}
-
-SpanRing::SpanRing(int64_t capacity)
-    : capacity_(std::max<int64_t>(capacity, 0)) {
-  ring_.resize(static_cast<size_t>(capacity_));
-}
-
-int64_t SpanRing::size() const { return std::min(total_, capacity_); }
-
-int64_t SpanRing::dropped() const { return total_ - size(); }
-
-void SpanRing::Record(const TickSpan& span) {
-  if (capacity_ == 0) return;
-  ring_[static_cast<size_t>(total_ % capacity_)] = span;
-  ++total_;
-}
-
-void SpanRing::Clear() { total_ = 0; }
-
-std::vector<TickSpan> SpanRing::Spans() const {
-  std::vector<TickSpan> spans;
-  const int64_t n = size();
-  spans.reserve(static_cast<size_t>(n));
-  const int64_t first = total_ - n;
-  for (int64_t i = 0; i < n; ++i) {
-    spans.push_back(ring_[static_cast<size_t>((first + i) % capacity_)]);
-  }
-  return spans;
-}
-
-void SpanRing::DumpJsonl(std::ostream& out) const {
-  for (const TickSpan& s : Spans()) {
-    out << TickSpanJson(s) << '\n';
-  }
 }
 
 std::string RenderSpanzJson(const SpanzReport& report) {

@@ -2,9 +2,10 @@
 #define SPRINGDTW_OBS_SPAN_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace springdtw {
 namespace obs {
@@ -48,37 +49,8 @@ struct TickSpan {
 /// by SpanRing::DumpJsonl and the introspection server's /spanz.
 std::string TickSpanJson(const TickSpan& span);
 
-/// Bounded-memory ring buffer of TickSpans, mirroring TraceRing: capacity
-/// is fixed at construction (0 = span collection disabled); once full, new
-/// spans overwrite the oldest and dropped() counts what was lost. Record()
-/// is O(1) and allocation-free.
-class SpanRing {
- public:
-  explicit SpanRing(int64_t capacity = 0);
-
-  bool enabled() const { return capacity_ > 0; }
-  int64_t capacity() const { return capacity_; }
-  /// Spans currently held (<= capacity).
-  int64_t size() const;
-  /// Spans ever recorded, including overwritten ones.
-  int64_t total_recorded() const { return total_; }
-  /// Spans lost to wrap-around.
-  int64_t dropped() const;
-
-  void Record(const TickSpan& span);
-  void Clear();
-
-  /// Held spans, oldest first.
-  std::vector<TickSpan> Spans() const;
-
-  /// Writes one JSON object per line (JSONL), oldest first.
-  void DumpJsonl(std::ostream& out) const;
-
- private:
-  std::vector<TickSpan> ring_;
-  int64_t capacity_ = 0;
-  int64_t total_ = 0;  // ring_[total_ % capacity_] is the next write slot.
-};
+/// Bounded ring of TickSpans (capacity 0 = span collection disabled).
+using SpanRing = Ring<TickSpan, TickSpanJson>;
 
 /// Payload for /spanz: recent completed tick spans plus how many were lost
 /// to ring wrap-around.

@@ -1,8 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <ostream>
-
 #include "util/string_util.h"
 
 namespace springdtw {
@@ -39,39 +36,6 @@ std::string TraceEventJson(const TraceEvent& e) {
       static_cast<long long>(e.query_id), static_cast<long long>(e.start),
       static_cast<long long>(e.end), e.distance,
       static_cast<long long>(e.report_delay));
-}
-
-TraceRing::TraceRing(int64_t capacity) : capacity_(std::max<int64_t>(capacity, 0)) {
-  ring_.resize(static_cast<size_t>(capacity_));
-}
-
-int64_t TraceRing::size() const { return std::min(total_, capacity_); }
-
-int64_t TraceRing::dropped() const { return total_ - size(); }
-
-void TraceRing::Record(const TraceEvent& event) {
-  if (capacity_ == 0) return;
-  ring_[static_cast<size_t>(total_ % capacity_)] = event;
-  ++total_;
-}
-
-void TraceRing::Clear() { total_ = 0; }
-
-std::vector<TraceEvent> TraceRing::Events() const {
-  std::vector<TraceEvent> events;
-  const int64_t n = size();
-  events.reserve(static_cast<size_t>(n));
-  const int64_t first = total_ - n;
-  for (int64_t i = 0; i < n; ++i) {
-    events.push_back(ring_[static_cast<size_t>((first + i) % capacity_)]);
-  }
-  return events;
-}
-
-void TraceRing::DumpJsonl(std::ostream& out) const {
-  for (const TraceEvent& e : Events()) {
-    out << TraceEventJson(e) << '\n';
-  }
 }
 
 }  // namespace obs

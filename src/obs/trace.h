@@ -2,10 +2,10 @@
 #define SPRINGDTW_OBS_TRACE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace springdtw {
 namespace obs {
@@ -41,7 +41,8 @@ struct TraceEvent;
 /// Renders one event as a single JSON object (no trailing newline), e.g.
 ///   {"event":"match_reported","space":"scalar","tick":42,"stream":0,
 ///    "query":1,"start":10,"end":20,"distance":1.5,"report_delay":2}
-/// Shared by TraceRing::DumpJsonl and the introspection server's /tracez.
+/// Shared by TraceRing::DumpJsonl (one such line per event, oldest first)
+/// and the introspection server's /tracez.
 std::string TraceEventJson(const TraceEvent& event);
 
 /// Which id space stream_id/query_id refer to.
@@ -64,39 +65,8 @@ struct TraceEvent {
   int64_t report_delay = 0;
 };
 
-/// Bounded-memory ring buffer of TraceEvents. Capacity is fixed at
-/// construction (0 = tracing disabled); once full, new events overwrite the
-/// oldest and dropped() counts what was lost. Record() is O(1) and
-/// allocation-free.
-class TraceRing {
- public:
-  explicit TraceRing(int64_t capacity = 0);
-
-  bool enabled() const { return capacity_ > 0; }
-  int64_t capacity() const { return capacity_; }
-  /// Events currently held (<= capacity).
-  int64_t size() const;
-  /// Events ever recorded, including overwritten ones.
-  int64_t total_recorded() const { return total_; }
-  /// Events lost to wrap-around.
-  int64_t dropped() const;
-
-  void Record(const TraceEvent& event);
-  void Clear();
-
-  /// Held events, oldest first.
-  std::vector<TraceEvent> Events() const;
-
-  /// Writes one JSON object per line (JSONL), oldest first, e.g.
-  ///   {"event":"match_reported","space":"scalar","tick":42,"stream":0,
-  ///    "query":1,"start":10,"end":20,"distance":1.5,"report_delay":2}
-  void DumpJsonl(std::ostream& out) const;
-
- private:
-  std::vector<TraceEvent> ring_;
-  int64_t capacity_ = 0;
-  int64_t total_ = 0;  // ring_[total_ % capacity_] is the next write slot.
-};
+/// Bounded ring of TraceEvents (capacity 0 = tracing disabled).
+using TraceRing = Ring<TraceEvent, TraceEventJson>;
 
 }  // namespace obs
 }  // namespace springdtw

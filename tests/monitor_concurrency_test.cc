@@ -357,6 +357,75 @@ TEST(MonitorConcurrencyTest, ShardedMonitorSurvivesBarrierHammering) {
   EXPECT_EQ(static_cast<int64_t>(sink.entries().size()), expected_total);
 }
 
+TEST(MonitorConcurrencyTest, ListQueriesBetweenPushesIsExact) {
+  // ListQueries and stats read the shard engines' own counters behind a
+  // barrier they take themselves. Called mid-ingest with no Drain() first
+  // (small queue: the rings are full and the workers busy), every row must
+  // count every value pushed to its stream so far, and every match it
+  // counts must already have reached the sink. Alternating which call
+  // comes first makes each of them meet undrained values.
+  constexpr int kStreams = 4;
+  constexpr int64_t kTicks = 2000;
+
+  ShardedMonitorOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 4;
+  ShardedMonitor monitor(options);
+  CollectSink sink;
+  monitor.AddSink(&sink);
+  std::vector<int64_t> stream_ids;
+  std::vector<std::vector<double>> inputs;
+  for (int i = 0; i < kStreams; ++i) {
+    stream_ids.push_back(monitor.AddStream("s" + std::to_string(i)));
+    ASSERT_TRUE(monitor
+                    .AddQuery(stream_ids.back(), "q" + std::to_string(i),
+                              {1.0, 2.0, 3.0}, TestOptions())
+                    .ok());
+    inputs.push_back(ShardStream(i, kTicks));
+  }
+
+  monitor.Start();
+  int64_t checks = 0;
+  for (int64_t t = 0; t < kTicks; ++t) {
+    for (int i = 0; i < kStreams; ++i) {
+      ASSERT_TRUE(monitor
+                      .Push(stream_ids[static_cast<size_t>(i)],
+                            inputs[static_cast<size_t>(i)]
+                                  [static_cast<size_t>(t)])
+                      .ok());
+    }
+    if (t % 89 != 0) continue;
+    const bool stats_first = checks++ % 2 == 0;
+    std::vector<int64_t> stats_ticks(kStreams);
+    std::vector<int64_t> stats_matches(kStreams);
+    const auto read_stats = [&] {
+      for (int64_t q = 0; q < kStreams; ++q) {
+        const QueryStats& stats = monitor.stats(q);
+        stats_ticks[static_cast<size_t>(q)] = stats.ticks;
+        stats_matches[static_cast<size_t>(q)] = stats.matches;
+      }
+    };
+    if (stats_first) read_stats();
+    const auto rows = monitor.ListQueries();
+    if (!stats_first) read_stats();
+
+    std::vector<int64_t> sunk(kStreams, 0);
+    for (const CollectSink::Entry& entry : sink.entries()) {
+      ++sunk[static_cast<size_t>(entry.origin.query_id)];
+    }
+    ASSERT_EQ(rows.size(), static_cast<size_t>(kStreams));
+    for (const auto& row : rows) {
+      const size_t q = static_cast<size_t>(row.query_id);
+      EXPECT_EQ(row.ticks, t + 1) << "t=" << t << " q=" << q;
+      EXPECT_EQ(row.matches, sunk[q]) << "t=" << t << " q=" << q;
+      EXPECT_EQ(stats_ticks[q], t + 1) << "t=" << t << " q=" << q;
+      EXPECT_EQ(stats_matches[q], sunk[q]) << "t=" << t << " q=" << q;
+    }
+  }
+  monitor.Stop();
+  EXPECT_GT(sink.entries().size(), 0u);
+}
+
 TEST(MonitorConcurrencyTest, IntrospectionSnapshotsRaceFreeWhileIngesting) {
   // The PR 4 introspection surface under TSan: the router thread ingests
   // at full speed while this thread (standing in for the HTTP server

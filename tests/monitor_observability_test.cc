@@ -117,7 +117,7 @@ TEST(MonitorObservabilityTest, TraceMatchReportedCarriesOutputDelay) {
   }
 
   std::vector<obs::TraceEvent> reported;
-  for (const obs::TraceEvent& e : observability.trace().Events()) {
+  for (const obs::TraceEvent& e : observability.trace().Items()) {
     if (e.kind == obs::TraceEventKind::kMatchReported) reported.push_back(e);
   }
   ASSERT_EQ(reported.size(), sink.entries().size());
@@ -154,7 +154,7 @@ TEST(MonitorObservabilityTest, FlushEmitsCandidateFlushedEvent) {
   EXPECT_EQ(engine.FlushAll(), 1);
 
   int flushed = 0;
-  for (const obs::TraceEvent& e : observability.trace().Events()) {
+  for (const obs::TraceEvent& e : observability.trace().Items()) {
     if (e.kind == obs::TraceEventKind::kCandidateFlushed) ++flushed;
   }
   EXPECT_EQ(flushed, 1);
@@ -269,7 +269,7 @@ TEST(MonitorObservabilityTest, CheckpointEventsAndRestoredEngineCollects) {
 
   int saves = 0;
   int restores = 0;
-  for (const obs::TraceEvent& e : observability.trace().Events()) {
+  for (const obs::TraceEvent& e : observability.trace().Items()) {
     if (e.kind == obs::TraceEventKind::kCheckpointSave) ++saves;
     if (e.kind == obs::TraceEventKind::kCheckpointRestore) ++restores;
   }

@@ -454,11 +454,10 @@ TEST_P(ShardedRemoveTest, AdminErrorsAndListQueries) {
   EXPECT_EQ(monitor.RemoveQuery(q0).status().code(),
             util::StatusCode::kNotFound);
 
-  const std::vector<ShardedMonitor::QueryListEntry> live =
-      monitor.ListQueries();
+  const std::vector<QueryCost> live = monitor.ListQueries();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].query_id, q1);
-  EXPECT_EQ(live[0].name, "q1");
+  EXPECT_EQ(live[0].query_name, "q1");
   EXPECT_EQ(live[0].stream_name, "beta");
   EXPECT_EQ(live[0].ticks, 10);
 

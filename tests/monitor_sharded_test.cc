@@ -13,6 +13,7 @@
 #include "monitor/engine.h"
 #include "monitor/sharded_monitor.h"
 #include "monitor/sink.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace springdtw {
@@ -242,13 +243,14 @@ TEST_P(ShardedMonitorTest, CheckpointReshardsIntoAnyWorkerCount) {
   second.Stop();
 }
 
-// A query added mid-stream counts start, end and report_time in its own
-// tick clock, but its matches carry the stream-wide seq of the reporting
-// tick: the key that orders delivery and that the WAL's delivery watermark
-// compares against.
+// A query added mid-stream counts start, end, report_time and its ticks in
+// its own tick clock, but its matches carry the stream-wide seq of the
+// reporting tick: the key that orders delivery and that the WAL's delivery
+// watermark compares against.
 TEST_P(ShardedMonitorTest, LateQueryMatchCarriesStreamSeq) {
   ShardedMonitorOptions options;
   options.num_workers = GetParam();
+  options.collect_metrics = true;
   ShardedMonitor monitor(options);
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -283,6 +285,38 @@ TEST_P(ShardedMonitorTest, LateQueryMatchCarriesStreamSeq) {
   EXPECT_EQ(late.match.start, 0);
   EXPECT_EQ(late.match.report_time, 3);
   EXPECT_EQ(monitor.ListQueries()[1].last_match_seq, 103);
+
+  // Every view of the late query's ticks reads its own clock: 4, not the
+  // stream's 54.
+  constexpr int64_t kLate = 1;
+  EXPECT_EQ(monitor.stats(kLate).ticks, 4);
+  EXPECT_EQ(monitor.ListQueries()[kLate].ticks, 4);
+  const obs::MetricsSnapshot merged = monitor.MergedMetricsSnapshot();
+  const obs::FamilySnapshot* ticks = merged.Find("spring_ticks_total");
+  ASSERT_NE(ticks, nullptr);
+  int64_t late_series = 0;
+  for (const obs::SeriesSnapshot& series : ticks->series) {
+    for (const obs::Label& label : series.labels) {
+      if (label.key != "query" || label.value != "late") continue;
+      EXPECT_EQ(series.counter_value, 4);
+      ++late_series;
+    }
+  }
+  EXPECT_EQ(late_series, 1);
+  const std::string queryz = monitor.telemetry()->QueryzJson();
+  EXPECT_NE(queryz.find("\"name\":\"late\",\"ticks\":4,"), std::string::npos)
+      << queryz;
+
+  // The count survives a checkpoint into another worker count, and the
+  // restored monitor re-serializes to the same bytes.
+  const std::vector<uint8_t> checkpoint = monitor.SerializeState();
+  ShardedMonitorOptions restored_options;
+  restored_options.num_workers = GetParam() == 2 ? 8 : 2;
+  ShardedMonitor restored(restored_options);
+  ASSERT_TRUE(restored.RestoreState(checkpoint).ok());
+  EXPECT_EQ(restored.stats(kLate).ticks, 4);
+  EXPECT_EQ(restored.ListQueries()[kLate].ticks, 4);
+  EXPECT_EQ(restored.SerializeState(), checkpoint);
 }
 
 TEST(ShardedMonitorTest, MergedMetricsSumAcrossShards) {

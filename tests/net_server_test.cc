@@ -466,7 +466,7 @@ TEST(NetServerAdminTest, AdminOpsOverTheWire) {
 
 // LIST_QUERIES is a barrier: pipelined right behind TICK_BATCH frames the
 // server has routed but not yet drained (one write, one read pass), it
-// still reports every one of them.
+// still reports every one of them, cells included with telemetry off.
 TEST(NetServerAdminTest, ListQueriesBehindUndrainedTicksIsExact) {
   ShardedMonitorOptions monitor_options;
   monitor_options.num_workers = 2;
@@ -481,15 +481,21 @@ TEST(NetServerAdminTest, ListQueriesBehindUndrainedTicksIsExact) {
   ASSERT_TRUE(stream.ok());
   ASSERT_TRUE(client.AddQuery(*stream, "q", {1.0, 2.0, 3.0}, Eps(0.5)).ok());
   int64_t ticks = 0;
+  // Telemetry is off: cells still recount against a standalone pool.
+  core::SpringBatchPool recount;
+  recount.AddQuery({1.0, 2.0, 3.0}, Eps(0.5));
   for (const auto& chunk : Workload(/*seed=*/20261020, 4, 100)) {
     // Buffered: the TICK_BATCH frames go out with the LIST_QUERIES below.
     ASSERT_TRUE(client.TickBatch(*stream, chunk.values).ok());
     ticks += static_cast<int64_t>(chunk.values.size());
+    recount.PushBatch(chunk.values, nullptr);
   }
   auto listed = client.ListQueries();
   ASSERT_TRUE(listed.ok()) << listed.status().ToString();
   ASSERT_EQ(listed->size(), 1u);
   EXPECT_EQ((*listed)[0].ticks, ticks);
+  EXPECT_EQ((*listed)[0].cells, recount.cells_computed_total(0));
+  EXPECT_GT((*listed)[0].cells, 0);
 
   client.Close();
   server.Stop();

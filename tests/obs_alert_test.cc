@@ -165,7 +165,7 @@ TEST(AlertEngineTest, ValueRuleWalksFullLifecycle) {
   // Every transition left a trace record: pending, firing, resolved,
   // pending, inactive.
   int64_t transitions = 0;
-  for (const TraceEvent& event : h.trace.Events()) {
+  for (const TraceEvent& event : h.trace.Items()) {
     if (event.kind == TraceEventKind::kAlertTransition) ++transitions;
   }
   EXPECT_EQ(transitions, 5);

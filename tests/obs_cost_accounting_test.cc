@@ -155,8 +155,8 @@ TEST(CostAccountingTest, DifferentialRecountAgainstGroundTruth) {
 
   const auto listed = monitor.ListQueries();
   ASSERT_EQ(listed.size(), 2u);
-  const auto& hot = listed[0].name == "hot" ? listed[0] : listed[1];
-  const auto& coldq = listed[0].name == "cold" ? listed[0] : listed[1];
+  const auto& hot = listed[0].query_name == "hot" ? listed[0] : listed[1];
+  const auto& coldq = listed[0].query_name == "cold" ? listed[0] : listed[1];
   const int64_t n = static_cast<int64_t>(stream.size());
 
   const core::SpringBatchPool recount =
@@ -253,13 +253,13 @@ TEST(CostAccountingTest, ShardedRecountAcrossWorkers) {
     const std::vector<double>& values =
         fed[static_cast<size_t>(entry.stream_id)];
     const int64_t n = static_cast<int64_t>(values.size());
-    EXPECT_EQ(entry.ticks, n) << entry.name;
+    EXPECT_EQ(entry.ticks, n) << entry.query_name;
     EXPECT_EQ(entry.cells,
               RecountPool({{1.0, 2.0, 3.0, 4.0}}, {NonMatchingOptions()},
                           values)
                   .cells_computed_total(0))
-        << entry.name;
-    EXPECT_EQ(entry.matches, 0) << entry.name;
+        << entry.query_name;
+    EXPECT_EQ(entry.matches, 0) << entry.query_name;
   }
 
   const std::string streamz = monitor.telemetry()->StreamzJson();
@@ -281,10 +281,10 @@ TEST(CostAccountingTest, ShardedRecountAcrossWorkers) {
   monitor.Stop();
 }
 
-TEST(CostAccountingTest, CostColumnsStayZeroWithoutMetrics) {
-  // Default options: no collect_metrics — the cost columns must stay at
-  // their zero/-1 defaults, and no telemetry plane exists to serve
-  // /queryz or /streamz.
+TEST(CostAccountingTest, CellsExactAndCpuZeroWithoutMetrics) {
+  // Default options: no collect_metrics, so no telemetry plane exists to
+  // serve /queryz or /streamz. The counters the engine keeps anyway stay
+  // exact, cells included; only the sampled CPU column stays 0.
   ShardedMonitor monitor;
   CollectSink sink;
   monitor.AddSink(&sink);
@@ -301,12 +301,11 @@ TEST(CostAccountingTest, CostColumnsStayZeroWithoutMetrics) {
 
   const auto listed = monitor.ListQueries();
   ASSERT_EQ(listed.size(), 1u);
-  EXPECT_GT(listed[0].ticks, 0) << "base stats stay live";
+  EXPECT_EQ(listed[0].ticks, static_cast<int64_t>(stream.size()));
   EXPECT_GT(listed[0].matches, 0);
-  EXPECT_EQ(listed[0].cells, 0);
-  // last_match_seq rides the delivery path (one store per match, like the
-  // matches counter), so it stays live even with metrics off — only the
-  // per-tick columns must stay zero.
+  EXPECT_EQ(listed[0].cells,
+            RecountPool({{1.0, 2.0, 3.0}}, {MatchingOptions()}, stream)
+                .cells_computed_total(0));
   EXPECT_GE(listed[0].last_match_seq, 0);
   EXPECT_EQ(listed[0].est_cpu_nanos, 0);
   EXPECT_EQ(monitor.telemetry(), nullptr);

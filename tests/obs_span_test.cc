@@ -34,7 +34,7 @@ TEST(SpanRingTest, DefaultConstructedIsDisabled) {
   EXPECT_EQ(ring.size(), 0);
   EXPECT_EQ(ring.total_recorded(), 0);
   EXPECT_EQ(ring.dropped(), 0);
-  EXPECT_TRUE(ring.Spans().empty());
+  EXPECT_TRUE(ring.Items().empty());
 }
 
 TEST(SpanRingTest, FillsWithoutDropsBelowCapacity) {
@@ -44,7 +44,7 @@ TEST(SpanRingTest, FillsWithoutDropsBelowCapacity) {
   EXPECT_EQ(ring.size(), 3);
   EXPECT_EQ(ring.total_recorded(), 3);
   EXPECT_EQ(ring.dropped(), 0);
-  const std::vector<TickSpan> spans = ring.Spans();
+  const std::vector<TickSpan> spans = ring.Items();
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].seq, 0u);
   EXPECT_EQ(spans[2].seq, 2u);
@@ -56,7 +56,7 @@ TEST(SpanRingTest, WrapAroundOverwritesOldestAndCountsDrops) {
   EXPECT_EQ(ring.size(), 4);
   EXPECT_EQ(ring.total_recorded(), 10);
   EXPECT_EQ(ring.dropped(), 6);
-  const std::vector<TickSpan> spans = ring.Spans();
+  const std::vector<TickSpan> spans = ring.Items();
   ASSERT_EQ(spans.size(), 4u);
   // Oldest first: the survivors are the last four recorded.
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -75,8 +75,8 @@ TEST(SpanRingTest, ClearResetsEverything) {
   EXPECT_EQ(ring.total_recorded(), 0);
   EXPECT_EQ(ring.dropped(), 0);
   ring.Record(MakeSpan(9));
-  ASSERT_EQ(ring.Spans().size(), 1u);
-  EXPECT_EQ(ring.Spans()[0].seq, 9u);
+  ASSERT_EQ(ring.Items().size(), 1u);
+  EXPECT_EQ(ring.Items()[0].seq, 9u);
 }
 
 TEST(SpanRingTest, TickSpanJsonCarriesEveryStage) {

@@ -31,7 +31,7 @@ TEST(TraceRingTest, ZeroCapacityIsDisabled) {
   ring.Record(Event(TraceEventKind::kMatchReported, 1));
   EXPECT_EQ(ring.size(), 0);
   EXPECT_EQ(ring.total_recorded(), 0);
-  EXPECT_TRUE(ring.Events().empty());
+  EXPECT_TRUE(ring.Items().empty());
 }
 
 TEST(TraceRingTest, HoldsEventsInOrderBelowCapacity) {
@@ -41,7 +41,7 @@ TEST(TraceRingTest, HoldsEventsInOrderBelowCapacity) {
   }
   EXPECT_EQ(ring.size(), 5);
   EXPECT_EQ(ring.dropped(), 0);
-  const std::vector<TraceEvent> events = ring.Events();
+  const std::vector<TraceEvent> events = ring.Items();
   ASSERT_EQ(events.size(), 5u);
   for (int64_t t = 0; t < 5; ++t) EXPECT_EQ(events[t].tick, t);
 }
@@ -54,7 +54,7 @@ TEST(TraceRingTest, WrapAroundKeepsNewestAndCountsDropped) {
   EXPECT_EQ(ring.size(), 4);
   EXPECT_EQ(ring.total_recorded(), 10);
   EXPECT_EQ(ring.dropped(), 6);
-  const std::vector<TraceEvent> events = ring.Events();
+  const std::vector<TraceEvent> events = ring.Items();
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first: ticks 6,7,8,9.
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].tick, 6 + i);
